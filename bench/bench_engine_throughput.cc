@@ -15,18 +15,11 @@
 // the PR 5 pattern of polling TableReport::backlog_batches before every
 // ingest is gone (that field is advisory now).
 //
-// --cluster: runs the same mixed workload against the sharded serving
-// layer (serving::Cluster) at each shard count in DDUP_BENCH_SHARDS and
-// writes BENCH_cluster_throughput.json — estimate QPS and ingest
-// latency vs shard count, the tentpole artifact of DESIGN.md §15.
-//
 // Environment knobs (defaults in parentheses):
 //   DDUP_BENCH_TABLES  (4)   tables, one model each
 //   DDUP_BENCH_CLIENTS (4)   client threads
 //   DDUP_BENCH_SECONDS (6)   measured wall time per engine mode
 //   DDUP_BENCH_WORKERS (2)   background update workers in async mode
-//                            (per shard under --cluster)
-//   DDUP_BENCH_SHARDS  (1,2,4) shard counts swept under --cluster
 //   DDUP_ROWS          (4000 via BenchParams) base rows per table
 //   DDUP_EPOCH_SCALE / DDUP_BOOTSTRAP / DDUP_SEED — as in every bench
 #include <algorithm>
@@ -36,7 +29,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -48,7 +40,6 @@
 #include "common/stats.h"
 #include "common/stopwatch.h"
 #include "serving/admission.h"
-#include "serving/cluster.h"
 #include "workload/query.h"
 
 namespace {
@@ -59,29 +50,12 @@ using ddup::api::EngineConfig;
 using ddup::api::EstimateRequest;
 using ddup::api::ModelSpec;
 using ddup::api::TableServingState;
-using ddup::serving::Cluster;
-using ddup::serving::ClusterConfig;
 
 int64_t EnvInt(const char* name, int64_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
   int64_t parsed = std::atoll(v);
   return parsed > 0 ? parsed : fallback;
-}
-
-// Comma-separated positive ints, e.g. DDUP_BENCH_SHARDS=1,2,4.
-std::vector<int> EnvIntList(const char* name, std::vector<int> fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  std::vector<int> out;
-  for (const char* p = v; *p != '\0';) {
-    char* end = nullptr;
-    long parsed = std::strtol(p, &end, 10);
-    if (end == p) break;
-    if (parsed > 0) out.push_back(static_cast<int>(parsed));
-    p = (*end == ',') ? end + 1 : end;
-  }
-  return out.empty() ? fallback : out;
 }
 
 ddup::storage::Table MakeConditional(double m0, double m1, int64_t n,
@@ -159,17 +133,13 @@ EngineConfig MakeEngineConfig(const ddup::bench::BenchParams& params,
   return config;
 }
 
-// One frontend end to end: build N tables, run M clients for `seconds`,
-// flush, aggregate. Frontend is api::Engine or serving::Cluster — the two
-// expose the same surface (CreateTable/AttachModel/Ingest/Estimate/Report/
-// FlushAll), the cluster just routes each call to the owning shard.
-// `serialize_clients` models the synchronous engine's single-threaded
-// contract: estimates read the live model that Ingest trains in place, so
-// multi-client callers must serialize per-table access themselves — which
-// is precisely the contention the async engine's snapshot serving removes.
-template <typename Frontend>
-ModeResult RunTraffic(Frontend& frontend,
-                      const ddup::bench::BenchParams& params,
+// One engine end to end: build N tables, run M clients for `seconds`,
+// flush, aggregate. `serialize_clients` models the synchronous engine's
+// single-threaded contract: estimates read the live model that Ingest
+// trains in place, so multi-client callers must serialize per-table access
+// themselves — which is precisely the contention the async engine's
+// snapshot serving removes.
+ModeResult RunTraffic(Engine& engine, const ddup::bench::BenchParams& params,
                       const EngineConfig& config, int64_t tables,
                       int64_t clients, double seconds,
                       bool serialize_clients) {
@@ -183,8 +153,8 @@ ModeResult RunTraffic(Frontend& frontend,
     names.push_back("t" + std::to_string(t));
     ddup::storage::Table base = MakeConditional(
         25, 75, params.rows, params.seed + static_cast<uint64_t>(t));
-    DDUP_CHECK(frontend.CreateTable(names.back(), base).ok());
-    ddup::Status st = frontend.AttachModel(names.back(), spec);
+    DDUP_CHECK(engine.CreateTable(names.back(), base).ok());
+    ddup::Status st = engine.AttachModel(names.back(), spec);
     DDUP_CHECK_MSG(st.ok(), st.ToString());
   }
 
@@ -218,7 +188,7 @@ ModeResult RunTraffic(Frontend& frontend,
               params.seed + 5000 + static_cast<uint64_t>(c * 1000 + op));
           ddup::Stopwatch timer;
           auto guard = sync_guard(table_index);
-          auto result = frontend.Ingest(table, chunk);
+          auto result = engine.Ingest(table, chunk);
           mine.ingest_ms.push_back(timer.ElapsedMillis());
           if (result.ok()) {
             mine.rows_ingested += chunk.num_rows();
@@ -229,7 +199,7 @@ ModeResult RunTraffic(Frontend& frontend,
           }
         } else {
           bool updating = false;
-          auto report = frontend.Report(table);
+          auto report = engine.Report(table);
           if (report.ok()) {
             updating =
                 report.value().state != TableServingState::kServing;
@@ -242,7 +212,7 @@ ModeResult RunTraffic(Frontend& frontend,
           ddup::Stopwatch timer;
           {
             auto guard = sync_guard(table_index);
-            auto est = frontend.Estimate(request);
+            auto est = engine.Estimate(request);
             mine.estimate_ms.push_back(timer.ElapsedMillis());
             if (est.ok() && est.value().answers.size() == 1 &&
                 std::isfinite(est.value().answers[0])) {
@@ -263,7 +233,7 @@ ModeResult RunTraffic(Frontend& frontend,
   stop.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
   double measured = wall.ElapsedSeconds();
-  auto sweep = frontend.FlushAll();
+  auto sweep = engine.FlushAll();
   DDUP_CHECK_MSG(sweep.ok(), sweep.status().ToString());
 
   ModeResult out;
@@ -281,7 +251,7 @@ ModeResult RunTraffic(Frontend& frontend,
     out.merged.errors += s.errors;
   }
   for (const auto& name : names) {
-    auto report = frontend.Report(name);
+    auto report = engine.Report(name);
     DDUP_CHECK(report.ok());
     out.updates_completed += report.value().insertions;
     out.snapshot_publishes += report.value().snapshot_publishes;
@@ -298,17 +268,6 @@ ModeResult RunEngineMode(const ddup::bench::BenchParams& params,
   EngineConfig config = MakeEngineConfig(params, update_workers);
   Engine engine(config);
   return RunTraffic(engine, params, config, tables, clients, seconds,
-                    /*serialize_clients=*/update_workers == 0);
-}
-
-ModeResult RunClusterMode(const ddup::bench::BenchParams& params, int shards,
-                          int update_workers, int64_t tables, int64_t clients,
-                          double seconds) {
-  ClusterConfig config;
-  config.shards = shards;
-  config.engine = MakeEngineConfig(params, update_workers);
-  Cluster cluster(config);
-  return RunTraffic(cluster, params, config.engine, tables, clients, seconds,
                     /*serialize_clients=*/update_workers == 0);
 }
 
@@ -344,76 +303,16 @@ void PrintMode(const char* label, const ModeResult& r) {
       static_cast<long long>(r.rows_total),
       static_cast<long long>(r.merged.ingests_shed),
       static_cast<long long>(r.merged.errors));
-}
-
-// The shard-count sweep behind BENCH_cluster_throughput.json: the same
-// traffic at every shard count, one JSON row each.
-int RunClusterSweep(const ddup::bench::BenchParams& params,
-                    const std::vector<int>& shard_counts, int workers,
-                    int64_t tables, int64_t clients, double seconds) {
-  ddup::bench::BenchJsonEmitter emitter("cluster_throughput", params);
-  emitter.SetParam("tables", tables)
-      .SetParam("clients", clients)
-      .SetParam("update_workers", workers)
-      .SetParam("seconds", seconds)
-      .SetParam("admission_policy", workers > 0 ? "shed" : "block")
-      .SetParam("max_backlog_batches",
-                workers > 0 ? int64_t{2} * workers : int64_t{0})
-      // Header "shards" (stamped 1 by the emitter for single-engine
-      // benches) records the largest cluster in this sweep; each row
-      // carries its own count.
-      .SetParam("shards",
-                *std::max_element(shard_counts.begin(), shard_counts.end()));
-  int64_t errors = 0;
-  for (int shards : shard_counts) {
-    std::printf("-- cluster: %d shard%s x %d update worker%s --------------\n",
-                shards, shards == 1 ? "" : "s", workers,
-                workers == 1 ? "" : "s");
-    ModeResult r =
-        RunClusterMode(params, shards, workers, tables, clients, seconds);
-    std::string label = "shards=" + std::to_string(shards);
-    PrintMode(label.c_str(), r);
-    if (r.merged.ingests_shed != r.sheds_reported) {
-      std::printf("         WARNING client sheds %lld != engine sheds %lld\n",
-                  static_cast<long long>(r.merged.ingests_shed),
-                  static_cast<long long>(r.sheds_reported));
-    }
-    errors += r.merged.errors;
-    ddup::bench::JsonObject row;
-    row.Set("shards", shards)
-        .Set("estimate_qps", EstimateQps(r))
-        .Set("estimates_total", r.merged.estimates_total)
-        .Set("estimates_during_update", r.merged.estimates_during_update)
-        .Set("estimate_p50_ms", Pct(r.merged.estimate_ms, 50))
-        .Set("estimate_p99_ms", Pct(r.merged.estimate_ms, 99))
-        .Set("ingests", static_cast<int64_t>(r.merged.ingest_ms.size()))
-        .Set("ingest_p50_ms", Pct(r.merged.ingest_ms, 50))
-        .Set("ingest_p99_ms", Pct(r.merged.ingest_ms, 99))
-        .Set("rows_ingested", r.merged.rows_ingested)
-        .Set("ingests_shed", r.merged.ingests_shed)
-        .Set("sheds_reported", r.sheds_reported)
-        .Set("updates_completed", r.updates_completed)
-        .Set("snapshot_publishes", r.snapshot_publishes)
-        .Set("queue_seconds", r.queue_seconds)
-        .Set("rows_total", r.rows_total)
-        .Set("seconds", r.seconds)
-        .Set("errors", r.merged.errors);
-    emitter.AddRow(std::move(row));
+  if (r.merged.ingests_shed != r.sheds_reported) {
+    std::printf("         WARNING client sheds %lld != engine sheds %lld\n",
+                static_cast<long long>(r.merged.ingests_shed),
+                static_cast<long long>(r.sheds_reported));
   }
-  emitter.Write();
-  if (errors > 0) {
-    std::printf("bench_engine_throughput --cluster: FAILED (client errors)\n");
-    return 1;
-  }
-  std::printf("bench_engine_throughput --cluster: OK\n");
-  return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool cluster_mode =
-      argc > 1 && std::strcmp(argv[1], "--cluster") == 0;
+int main() {
   ddup::bench::BenchParams params = ddup::bench::BenchParams::FromEnv();
   const int64_t tables = EnvInt("DDUP_BENCH_TABLES", 4);
   const int64_t clients = EnvInt("DDUP_BENCH_CLIENTS", 4);
@@ -423,13 +322,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "==============================================================\n");
-  if (cluster_mode) {
-    std::printf(
-        "Cluster throughput — sharded serving layer (DESIGN.md §15)\n");
-  } else {
-    std::printf(
-        "Engine throughput — mixed Ingest/Estimate under live updates\n");
-  }
+  std::printf("Engine throughput — mixed Ingest/Estimate under live updates\n");
   std::printf("tables=%lld clients=%lld update_workers=%d seconds=%.0f "
               "rows=%lld epoch_scale=%.2f bootstrap=%d\n",
               static_cast<long long>(tables), static_cast<long long>(clients),
@@ -437,13 +330,6 @@ int main(int argc, char** argv) {
               params.epoch_scale, params.bootstrap_iterations);
   std::printf(
       "==============================================================\n");
-
-  if (cluster_mode) {
-    const std::vector<int> shard_counts =
-        EnvIntList("DDUP_BENCH_SHARDS", {1, 2, 4});
-    return RunClusterSweep(params, shard_counts, workers, tables, clients,
-                           seconds);
-  }
 
   std::printf(
       "-- async: background update workers, snapshot serving --------\n");

@@ -1,18 +1,17 @@
-// Estimate-path throughput for the batched execution engines (DESIGN.md
-// §13): QPS of the scalar convenience path vs the "reference" and
-// "vectorized" EstimatorEngines, across batch sizes x reader threads, on
-// the DARN cardinality path (the GEMM-heavy one the PR 7 acceptance
-// criterion targets: vectorized >= 3x scalar at batch >= 32, one thread)
-// and the MDN AQP path (per-category mixture reuse). Every cell reports
-// the MatrixPool counter deltas so the zero-alloc claim of the vectorized
-// path is a printed number, and the JSON header carries the kernel variant
-// and its 256x256 GFLOP/s so throughput is comparable across hosts.
+// Estimate-path throughput of the models' batch overrides (DESIGN.md §13):
+// QPS of the scalar call per query ("scalar") vs one TryEstimate*Batch call
+// per batch ("batch"), across batch sizes x reader threads, on the DARN
+// cardinality path (the GEMM-heavy one: MADE active-set GEMMs over every
+// query's progressive-sample paths) and the MDN AQP path (per-category
+// mixture reuse). Every cell reports the MatrixPool counter deltas so the
+// zero-alloc claim of the batch path is a printed number, and the JSON
+// header carries the kernel variant and its 256x256 GFLOP/s so throughput
+// is comparable across hosts.
 //
 // The reader-thread axis exercises the lock-free serving contract: all
 // threads estimate against one immutable model with no shared mutable
-// state, so cells should scale with available cores (on the 1-core CI
-// container the multi-thread rows simply document the absence of a lock,
-// not a speedup).
+// state, so cells should scale with available cores (on a 1-core host the
+// multi-thread rows simply document the absence of a lock, not a speedup).
 //
 // Environment knobs (defaults in parentheses):
 //   DDUP_BENCH_ESTIMATES (1536) target estimates per cell (rounded up to
@@ -33,7 +32,6 @@
 #include "bench/harness.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "exec/estimator_engine.h"
 #include "models/darn.h"
 #include "models/mdn.h"
 #include "nn/pool.h"
@@ -127,12 +125,12 @@ CellResult RunCell(const Mode& mode,
 }
 
 // Copies the [first, first+count) window (wrapping) into a fresh batch.
-ddup::workload::QueryBatch Window(
+std::vector<ddup::workload::Query> Window(
     const std::vector<ddup::workload::Query>& queries, size_t first,
     size_t count) {
-  ddup::workload::QueryBatch batch;
+  std::vector<ddup::workload::Query> batch;
   for (size_t i = 0; i < count; ++i)
-    batch.Add(queries[(first + i) % queries.size()]);
+    batch.push_back(queries[(first + i) % queries.size()]);
   return batch;
 }
 
@@ -143,8 +141,10 @@ void MustOk(const Status& s) {
   }
 }
 
-template <typename ScalarFn, typename EngineFn>
-std::vector<Mode> BuildModes(ScalarFn scalar, EngineFn engine_call) {
+// The two ways to run a window of queries: one scalar call per query, or
+// one call of the model's batch override.
+template <typename ScalarFn, typename BatchFn>
+std::vector<Mode> BuildModes(ScalarFn scalar, BatchFn batch_call) {
   std::vector<Mode> modes;
   modes.push_back(
       {"scalar", [scalar](const std::vector<ddup::workload::Query>& qs,
@@ -157,15 +157,12 @@ std::vector<Mode> BuildModes(ScalarFn scalar, EngineFn engine_call) {
            (*out)[i] = r.value();
          }
        }});
-  for (const std::string& name : ddup::exec::RegisteredEstimatorEngines()) {
-    const ddup::exec::EstimatorEngine* e = ddup::exec::FindEstimatorEngine(name);
-    modes.push_back(
-        {name, [e, engine_call](const std::vector<ddup::workload::Query>& qs,
-                                size_t first, size_t count,
-                                std::vector<double>* out) {
-           MustOk(engine_call(*e, Window(qs, first, count), out));
-         }});
-  }
+  modes.push_back(
+      {"batch", [batch_call](const std::vector<ddup::workload::Query>& qs,
+                             size_t first, size_t count,
+                             std::vector<double>* out) {
+         MustOk(batch_call(Window(qs, first, count), out));
+       }});
   return modes;
 }
 
@@ -194,7 +191,7 @@ void RunGrid(BenchJsonEmitter& json, const std::string& model,
                     static_cast<long long>(r.pool.heap_allocs), reuse);
         if (mode.name == "scalar" && batch_size == 32 && threads == 1)
           scalar_b32_t1 = r.qps;
-        if (mode.name == "vectorized" && batch_size == 32 && threads == 1 &&
+        if (mode.name == "batch" && batch_size == 32 && threads == 1 &&
             out_speedup_b32_t1 != nullptr && scalar_b32_t1 > 0.0)
           *out_speedup_b32_t1 = r.qps / scalar_b32_t1;
         json.AddRow(JsonObject()
@@ -221,7 +218,7 @@ void Run() {
   BenchParams params = BenchParams::FromEnv();
   ddup::bench::PrintBanner(
       "estimate_batch",
-      "estimate QPS: scalar vs reference vs vectorized engines", params);
+      "estimate QPS: scalar calls vs the model's batch override", params);
   const int64_t target_estimates = EnvInt("DDUP_BENCH_ESTIMATES", 1536);
   const int max_threads =
       static_cast<int>(EnvInt("DDUP_BENCH_MAX_THREADS", 4));
@@ -239,7 +236,7 @@ void Run() {
   json.SetParam("gemm256_gflops", ks.gemm256_gflops);
   json.SetParam("estimates_per_cell", target_estimates);
 
-  // DARN cardinality: the GEMM-heavy path the acceptance criterion targets.
+  // DARN cardinality: the GEMM-heavy path.
   double darn_speedup = 0.0;
   {
     ddup::models::Darn darn(bundle.base, ddup::bench::DarnConfigFor(params));
@@ -250,10 +247,9 @@ void Run() {
         [&card](const ddup::workload::Query& q) {
           return card.TryEstimateCardinality(q);
         },
-        [&card](const ddup::exec::EstimatorEngine& e,
-                const ddup::workload::QueryBatch& batch,
+        [&card](const std::vector<ddup::workload::Query>& batch,
                 std::vector<double>* out) {
-          return e.EstimateCardinalityBatch(card, batch, out);
+          return card.TryEstimateCardinalityBatch(batch, out);
         });
     RunGrid(json, "darn", "cardinality", modes, queries, batch_sizes,
             thread_counts, target_estimates, &darn_speedup);
@@ -272,23 +268,20 @@ void Run() {
         [&aqp, &schema](const ddup::workload::Query& q) {
           return aqp.TryEstimateAqp(q, schema);
         },
-        [&aqp, &schema](const ddup::exec::EstimatorEngine& e,
-                        const ddup::workload::QueryBatch& batch,
+        [&aqp, &schema](const std::vector<ddup::workload::Query>& batch,
                         std::vector<double>* out) {
-          return e.EstimateAqpBatch(aqp, schema, batch, out);
+          return aqp.TryEstimateAqpBatch(batch, schema, out);
         });
     RunGrid(json, "mdn", "aqp_count", modes, queries, batch_sizes,
             thread_counts, target_estimates, nullptr);
   }
 
-  json.SetParam("darn_vectorized_speedup_b32_t1", darn_speedup);
+  json.SetParam("darn_batch_speedup_b32_t1", darn_speedup);
   json.Write();
+  std::printf("\nDARN batch/scalar speedup @ batch=32, 1 thread: %.2fx\n",
+              darn_speedup);
   std::printf(
-      "\nDARN vectorized/scalar speedup @ batch=32, 1 thread: %.2fx "
-      "(acceptance floor: 3x)\n",
-      darn_speedup);
-  std::printf(
-      "shape check: vectorized qps grows with batch size and holds "
+      "shape check: batch qps grows with batch size and holds "
       "heapallocs at 0 once warm; scalar flat across batch sizes.\n");
 }
 

@@ -1,8 +1,9 @@
 // Reproduces paper Figure 8 on the engine-level join path: DDUp on 3-table
 // joins (JOB-like and TPCH-like star schemas), inserting the fact table's 5
 // time-ordered partitions through api::Engine (detect -> update per step)
-// and answering multi-table COUNT queries through the api::QueryRouter —
-// per-table model estimates combined under both registered join combiners
+// and answering multi-table COUNT queries through the join shape of
+// Engine::Estimate (planned by api::QueryRouter) — per-table model
+// estimates combined under both registered join combiners
 // ("join-uniformity" and "fanout-scaling", api/router.h) and scored against
 // exact join counts. Expected shape: IMDB drifts (later partitions OOD), so
 // the served model tracks the stream; the combiner columns isolate how much
@@ -129,11 +130,13 @@ void RunSchema(const JoinSetup& setup, const BenchParams& params,
   wconfig.max_filters = std::min(3, setup.fact_parts[0].num_columns());
   auto queries = workload::GenerateNonEmptyNaruQueries(
       setup.fact_parts[0], wconfig, params.num_queries, qrng);
-  workload::JoinQueryBatch join_batch = LiftToJoins(queries, setup);
-  workload::JoinQuery unpredicated;
-  unpredicated.joins = setup.edges;
+  api::EstimateRequest predicated;
+  predicated.joins = LiftToJoins(queries, setup);
+  workload::JoinQuery unpredicated_query;
+  unpredicated_query.joins = setup.edges;
+  api::EstimateRequest unpredicated;
+  unpredicated.joins.Add(unpredicated_query);
 
-  api::QueryRouter router(&engine);
   storage::Table accumulated = setup.fact_parts[0];
   std::printf("  %-5s %6s | %-16s %8s %8s %8s | %12s %12s\n", "step", "ood?",
               "combiner", "med-q", "p95-q", "max-q", "exact-join",
@@ -156,17 +159,20 @@ void RunSchema(const JoinSetup& setup, const BenchParams& params,
     const double exact_join = static_cast<double>(joined.num_rows());
 
     for (const std::string& combiner : api::RegisteredJoinCombiners()) {
-      auto estimates = router.EstimateCardinalityBatch(join_batch, combiner);
+      predicated.combiner = combiner;
+      unpredicated.combiner = combiner;
+      auto estimates = engine.Estimate(predicated);
       DDUP_CHECK_MSG(estimates.ok(), estimates.status().message().c_str());
-      auto unpred = router.EstimateCardinality(unpredicated, combiner);
+      auto unpred = engine.Estimate(unpredicated);
       DDUP_CHECK_MSG(unpred.ok(), unpred.status().message().c_str());
+      const double est_join = unpred.value().answers[0];
 
       // Score only queries whose exact join count is positive (the q-error
       // is undefined at zero); report how many were dropped.
       std::vector<double> est_scored, truth_scored;
       for (size_t i = 0; i < truths.size(); ++i) {
         if (truths[i] > 0.0) {
-          est_scored.push_back(estimates.value()[i]);
+          est_scored.push_back(estimates.value().answers[i]);
           truth_scored.push_back(truths[i]);
         }
       }
@@ -174,7 +180,7 @@ void RunSchema(const JoinSetup& setup, const BenchParams& params,
           workload::Summarize(QErrors(est_scored, truth_scored));
       std::printf("  %-5zu %6s | %-16s %8.2f %8.2f %8.2f | %12.0f %12.1f\n",
                   step, ood ? "yes" : "no", combiner.c_str(), summary.median,
-                  summary.p95, summary.max, exact_join, unpred.value());
+                  summary.p95, summary.max, exact_join, est_join);
 
       JsonObject row;
       row.Set("schema", setup.name)
@@ -187,7 +193,7 @@ void RunSchema(const JoinSetup& setup, const BenchParams& params,
           .Set("p95_qerror", summary.p95)
           .Set("max_qerror", summary.max)
           .Set("exact_join_rows", exact_join)
-          .Set("estimated_join_rows", unpred.value());
+          .Set("estimated_join_rows", est_join);
       emitter.AddRow(std::move(row));
     }
   }

@@ -587,10 +587,6 @@ BenchJsonEmitter::BenchJsonEmitter(std::string artifact,
       .Set("epoch_scale", params.epoch_scale)
       .Set("bootstrap", params.bootstrap_iterations)
       .Set("seed", static_cast<int64_t>(params.seed))
-      // Engine shards serving the bench. Single-engine benches keep the
-      // default; cluster benches override via SetParam("shards", n) — Set is
-      // last-writer-wins, so the header ends up with exactly one member.
-      .Set("shards", 1)
       .Set("host_cores",
            static_cast<int64_t>(std::thread::hardware_concurrency()))
       .Set("host_cpu", HostCpuModel());

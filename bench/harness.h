@@ -173,9 +173,8 @@ class JsonObject {
  public:
   // Set is last-writer-wins: re-setting an existing key overwrites its value
   // in place (keeping the key's original position) instead of emitting a
-  // duplicate member. This is what lets the emitter stamp defaults ("shards":
-  // 1) that individual benches override via SetParam without producing JSON
-  // that strict parsers reject.
+  // duplicate member, so benches can override a stamped header field via
+  // SetParam without producing JSON that strict parsers reject.
   JsonObject& Set(const std::string& key, const std::string& value);
   JsonObject& Set(const std::string& key, const char* value);
   JsonObject& Set(const std::string& key, double value);

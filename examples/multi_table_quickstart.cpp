@@ -6,7 +6,8 @@
 //      needs a model; the dimensions enter the join math through their
 //      exact stats snapshots (row count + per-column NDV) alone.
 //   2. Structured multi-table queries: workload::JoinQuery holds
-//      table-qualified predicates plus equi-join edges, and the
+//      table-qualified predicates plus equi-join edges. Engine::Estimate
+//      takes them in the join shape of EstimateRequest; its
 //      api::QueryRouter plans them (typed plan errors), fans per-table
 //      subqueries out against the serving snapshots, and combines the
 //      selectivities under a chosen assumption.
@@ -27,6 +28,7 @@
 namespace {
 
 using ddup::api::Engine;
+using ddup::api::EstimateRequest;
 using ddup::api::QueryRouter;
 
 bool Check(bool ok, const char* what) {
@@ -90,8 +92,7 @@ int main() {
   price.predicate = {1, ddup::workload::CompareOp::kLe, 40.0};
   query.predicates.push_back(price);
 
-  QueryRouter router(&engine);
-  auto plan = router.Plan(query);
+  auto plan = QueryRouter(&engine).Plan(query);
   if (!Check(plan.ok(), "plan resolves the join graph")) return 1;
   std::printf("      root=%s tables=%zu edges=%zu subqueries=%zu\n",
               plan.value().root.c_str(), plan.value().tables.size(),
@@ -102,36 +103,35 @@ int main() {
   // must reproduce it from the stats snapshots alone.
   ddup::workload::JoinQuery unfiltered;
   unfiltered.joins = query.joins;
+  EstimateRequest request;
+  request.joins.Add(unfiltered);
   for (const std::string& combiner : ddup::api::RegisteredJoinCombiners()) {
-    auto estimate = router.EstimateCardinality(unfiltered, combiner);
+    request.combiner = combiner;
+    auto estimate = engine.Estimate(request);
     if (!Check(estimate.ok(), ("estimate under " + combiner).c_str())) {
       return 1;
     }
     std::printf("      %-16s unfiltered join -> %.1f rows\n", combiner.c_str(),
-                estimate.value());
-    all_ok &= Check(estimate.value() == 240.0,
+                estimate.value().answers[0]);
+    all_ok &= Check(estimate.value().answers[0] == 240.0,
                     ("clean-FK join exact under " + combiner).c_str());
   }
 
   // With the predicate on: 5 of 10 price values pass, and the SPN sees the
   // marginal exactly, so the combined estimate lands on 120.
-  auto filtered = router.EstimateCardinality(query);
-  if (!Check(filtered.ok(), "filtered join estimate")) return 1;
+  EstimateRequest filtered;
+  filtered.joins.Add(query);
+  auto estimate = engine.Estimate(filtered);
+  if (!Check(estimate.ok(), "filtered join estimate")) return 1;
   std::printf("      filtered join (o_price <= 40) -> %.1f rows\n",
-              filtered.value());
-
-  // The same call through the structured engine surface.
-  ddup::api::EstimateRequest request;
-  request.joins.Add(query);
-  auto via_engine = engine.Estimate(request);
-  all_ok &= Check(via_engine.ok() &&
-                      via_engine.value().answers[0] == filtered.value(),
-                  "Engine::Estimate(join shape) matches the router");
+              estimate.value().answers[0]);
 
   // --- Typed planning errors -----------------------------------------------
   ddup::workload::JoinQuery bad = query;
   bad.joins.push_back({"orders", "o_price", "suppliers", "s_key"});
-  auto err = router.EstimateCardinality(bad);
+  EstimateRequest bad_request;
+  bad_request.joins.Add(bad);
+  auto err = engine.Estimate(bad_request);
   auto code = ddup::api::PlanErrorFromStatus(err.status());
   all_ok &= Check(!err.ok() && code.has_value() &&
                       code.value() == ddup::api::PlanError::kUnknownTable,

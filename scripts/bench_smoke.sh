@@ -58,21 +58,6 @@ else
   echo "bench_smoke: bench_engine_throughput not built, skipping"
 fi
 
-# Cluster smoke: the same mixed workload against the sharded serving layer
-# (serving::Cluster) at 1 and 2 shards, engine-side shed admission. Writes
-# BENCH_cluster_throughput.json — estimate QPS vs shard count; the
-# committed full-size sweep lives in results/.
-if [[ -x "${BUILD_DIR}/bench/bench_engine_throughput" ]]; then
-  DDUP_BENCH_TABLES=${DDUP_BENCH_TABLES:-2} \
-  DDUP_BENCH_CLIENTS=${DDUP_BENCH_CLIENTS:-2} \
-  DDUP_BENCH_SECONDS=${DDUP_BENCH_SECONDS:-2} \
-  DDUP_BENCH_WORKERS=${DDUP_BENCH_WORKERS:-1} \
-  DDUP_BENCH_SHARDS=${DDUP_BENCH_SHARDS:-1,2} \
-    "${BUILD_DIR}/bench/bench_engine_throughput" --cluster
-else
-  echo "bench_smoke: cluster bench not built, skipping"
-fi
-
 # Codec frontier smoke: every registered checkpoint codec against real
 # data-plane payloads (checkpoint sections harvested from an actual engine
 # Save, serialized batches, raw column bytes). Verifies every round trip
@@ -85,9 +70,9 @@ fi
 # BENCH_drift_grid.json (bit-identical for a fixed seed).
 "${BUILD_DIR}/bench/bench_drift_grid"
 
-# Estimate-engine smoke: scalar vs reference vs vectorized estimate QPS over
-# batch size x reader threads; writes BENCH_estimate_batch.json. Tiny grid —
-# the committed full-size run lives next to DESIGN.md §13.
+# Estimate-batch smoke: scalar calls vs the model's batch override, estimate
+# QPS over batch size x reader threads; writes BENCH_estimate_batch.json.
+# Tiny grid — the committed full-size run lives in results/ (DESIGN.md §13).
 DDUP_BENCH_ESTIMATES=${DDUP_BENCH_ESTIMATES:-64} \
 DDUP_BENCH_MAX_THREADS=${DDUP_BENCH_MAX_THREADS:-2} \
   "${BUILD_DIR}/bench/bench_estimate_batch"

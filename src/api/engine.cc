@@ -7,7 +7,6 @@
 #include "api/router.h"
 #include "common/stopwatch.h"
 #include "core/detector_zoo.h"
-#include "exec/estimator_engine.h"
 #include "io/checkpoint.h"
 #include "io/serializer.h"
 #include "serving/admission.h"
@@ -49,17 +48,6 @@ int ResolveUpdateWorkers(int requested) {
   // Auto: one worker per default thread beyond the first, so DDUP_THREADS=1
   // and single-core hosts resolve to the synchronous engine.
   return std::max(0, DefaultThreadCount() - 1);
-}
-
-// Strips the exec engines' "query 0: " index prefix so the scalar shims
-// keep the historical single-query error messages.
-Status StripBatchPrefix(const Status& status) {
-  constexpr const char kPrefix[] = "query 0: ";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (status.message().rfind(kPrefix, 0) == 0) {
-    return Status(status.code(), status.message().substr(kPrefixLen));
-  }
-  return status;
 }
 
 }  // namespace
@@ -142,6 +130,7 @@ Status Engine::CreateTable(const std::string& name,
     return Status::InvalidArgument("table '" + name +
                                    "' needs at least one column");
   }
+  DDUP_RETURN_IF_ERROR(storage::CheckFinite(base_data));
   if (options.micro_batch_rows < 0) {
     return Status::InvalidArgument("micro_batch_rows must be >= 0");
   }
@@ -512,6 +501,7 @@ StatusOr<IngestResult> Engine::Ingest(const std::string& name,
   IngestResult result;
   if (batch.num_rows() > 0) {
     DDUP_RETURN_IF_ERROR(storage::CheckSchemaCompatible(state->base, batch));
+    DDUP_RETURN_IF_ERROR(storage::CheckFinite(batch));
     if (bounded) {
       // Shed decides at call entry, before any row is buffered: a refused
       // call leaves no trace in the accumulator, so the caller can retry
@@ -665,20 +655,13 @@ StatusOr<FlushReport> Engine::FlushAll() {
   return sweep;
 }
 
-// The whole single-table estimate hot path is here: one exec-engine lookup,
-// one registry lookup, one atomic view load, then the batch call — no lock,
-// no dynamic_cast (the interfaces were resolved when the view was
-// published), no shared mutable state.
+// The whole single-table estimate hot path is here: one registry lookup,
+// one atomic view load, then the model's batch call — no lock, no
+// dynamic_cast (the interfaces were resolved when the view was published),
+// no shared mutable state.
 StatusOr<std::vector<double>> Engine::EstimateSingleTable(
     EstimateRequest::Kind kind, const std::string& name,
     const workload::QueryBatch& batch) const {
-  const exec::EstimatorEngine* engine =
-      exec::FindEstimatorEngine(config_.estimate_engine);
-  if (engine == nullptr) {
-    return Status::InvalidArgument(
-        "unknown estimate engine '" + config_.estimate_engine +
-        "'; registered: " + JoinedNames(exec::RegisteredEstimatorEngines()));
-  }
   StatusOr<std::shared_ptr<TableState>> found = FindTable(name);
   if (!found.ok()) return found.status();
   const TableState* state = found.value().get();
@@ -696,7 +679,7 @@ StatusOr<std::vector<double>> Engine::EstimateSingleTable(
           "' does not serve cardinality estimates");
     }
     DDUP_RETURN_IF_ERROR(
-        engine->EstimateCardinalityBatch(*view->card, batch, &out));
+        view->card->TryEstimateCardinalityBatch(batch.queries, &out));
   } else {
     if (view->aqp == nullptr) {
       return Status::FailedPrecondition("model kind '" + state->spec.kind +
@@ -704,7 +687,7 @@ StatusOr<std::vector<double>> Engine::EstimateSingleTable(
                                         "' does not serve AQP estimates");
     }
     DDUP_RETURN_IF_ERROR(
-        engine->EstimateAqpBatch(*view->aqp, state->base, batch, &out));
+        view->aqp->TryEstimateAqpBatch(batch.queries, state->base, &out));
   }
   return out;
 }
@@ -720,7 +703,7 @@ StatusOr<EstimateResponse> Engine::Estimate(
   StatusOr<std::vector<double>> answers = Status::OK();
   if (!join) {
     // Single-table shape (possibly with an empty or unknown table name —
-    // FindTable reports those, matching the legacy overloads exactly).
+    // FindTable reports those).
     answers = EstimateSingleTable(request.kind, request.table,
                                   request.queries);
   } else if (request.kind == EstimateRequest::Kind::kAqp) {
@@ -735,52 +718,6 @@ StatusOr<EstimateResponse> Engine::Estimate(
   EstimateResponse response;
   response.answers = std::move(answers).value();
   return response;
-}
-
-// --- Legacy shims (see engine.h for the migration table) -------------------
-
-StatusOr<double> Engine::EstimateCardinality(
-    const std::string& name, const workload::Query& query) const {
-  EstimateRequest request;
-  request.kind = EstimateRequest::Kind::kCardinality;
-  request.table = name;
-  request.queries.Add(query);
-  StatusOr<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return StripBatchPrefix(response.status());
-  return response.value().answers[0];
-}
-
-StatusOr<double> Engine::EstimateAqp(const std::string& name,
-                                     const workload::Query& query) const {
-  EstimateRequest request;
-  request.kind = EstimateRequest::Kind::kAqp;
-  request.table = name;
-  request.queries.Add(query);
-  StatusOr<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return StripBatchPrefix(response.status());
-  return response.value().answers[0];
-}
-
-StatusOr<std::vector<double>> Engine::EstimateCardinalityBatch(
-    const std::string& name, const workload::QueryBatch& batch) const {
-  EstimateRequest request;
-  request.kind = EstimateRequest::Kind::kCardinality;
-  request.table = name;
-  request.queries = batch;
-  StatusOr<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return response.status();
-  return std::move(response).value().answers;
-}
-
-StatusOr<std::vector<double>> Engine::EstimateAqpBatch(
-    const std::string& name, const workload::QueryBatch& batch) const {
-  EstimateRequest request;
-  request.kind = EstimateRequest::Kind::kAqp;
-  request.table = name;
-  request.queries = batch;
-  StatusOr<EstimateResponse> response = Estimate(request);
-  if (!response.ok()) return response.status();
-  return std::move(response).value().answers;
 }
 
 StatusOr<TableReport> Engine::Report(const std::string& name) const {
@@ -827,10 +764,6 @@ StatusOr<TableReport> Engine::Report(const std::string& name) const {
   report.sheds = state->sheds;
   report.coalesced_groups = state->coalesced_groups;
   return report;
-}
-
-void Engine::Quiesce() {
-  if (executor_ != nullptr) executor_->Drain();
 }
 
 void Engine::PauseUpdates() {

@@ -29,7 +29,7 @@ namespace ddup::api {
 
 class QueryRouter;
 
-// Checkpoint-writing knobs (Engine::Save, serving::Cluster::Save).
+// Checkpoint-writing knobs (Engine::Save).
 struct CheckpointOptions {
   // Section codec, by registered name (io::RegisteredCodecNames(): "raw",
   // "lz", "shuffle", "delta"). "" uses the compressed default
@@ -59,12 +59,6 @@ struct EngineConfig {
   //      (DefaultThreadCount() - 1, see common/thread_pool.h), so
   //      DDUP_THREADS=1 and single-core environments resolve to synchronous.
   int update_workers = 0;
-  // Execution engine behind EstimateCardinalityBatch/EstimateAqpBatch
-  // (src/exec): "vectorized" drives the models' batched entry points,
-  // "reference" loops the scalar path. Both are byte-identical (enforced by
-  // the differential harness); the scalar Estimate* calls do not go through
-  // an engine. Validated on first batch call (InvalidArgument if unknown).
-  std::string estimate_engine = "vectorized";
   // Engine-side admission control (DESIGN.md §15). With a positive bound,
   // each table's queued micro-batch updates are capped at
   // max_backlog_batches and an overloaded Ingest is resolved by the named
@@ -76,7 +70,7 @@ struct EngineConfig {
   // callers throttle themselves off TableReport::backlog_batches. Only
   // meaningful with update_workers != 0 (the synchronous engine has no
   // backlog). An unknown policy name surfaces as InvalidArgument on the
-  // first bounded Ingest, like estimate_engine.
+  // first bounded Ingest.
   int64_t max_backlog_batches = 0;
   std::string admission_policy = "block";
   // Buffer accumulated rows in the packed columnar form
@@ -87,8 +81,7 @@ struct EngineConfig {
   // identical either way — pinned by tests/packed_test.cc — so false is
   // only a debugging escape hatch, not a compatibility knob.
   bool packed_accumulator = true;
-  // How Engine::Save (and serving::Cluster::Save) writes checkpoint
-  // containers.
+  // How Engine::Save writes checkpoint containers.
   CheckpointOptions checkpoint;
 };
 
@@ -201,8 +194,7 @@ struct TableReport {
 // One estimate call, structured. This is the single entry point behind
 // every estimate the engine serves (DESIGN.md §14): single-table scalar,
 // single-table batch, and multi-table join all flow through
-// Engine::Estimate(const EstimateRequest&); the string-keyed overloads
-// below are thin shims over it.
+// Engine::Estimate(const EstimateRequest&).
 //
 // Exactly one of the two shapes must be populated:
 //   - Single-table: `table` names a registered table and `queries` holds
@@ -229,8 +221,9 @@ struct EstimateRequest {
 
 struct EstimateResponse {
   // answers[i] corresponds to queries.queries[i] (single-table) or
-  // joins.queries[i] (join). Each answer is bit-identical to the scalar
-  // call for that query.
+  // joins.queries[i] (join). Each answer is bit-identical to the batch-of-1
+  // request for that query. A failed request names the first bad query's
+  // index ("query <i>: " or "join query <i>: ").
   std::vector<double> answers;
 };
 
@@ -244,14 +237,14 @@ struct EstimateResponse {
 // granularity from detection granularity: rows accumulate per table and
 // the DDUp loop runs once per full micro-batch (micro_batch_rows), plus
 // once for the remainder on an explicit Flush. Buffered rows are invisible
-// to the model (and to Estimate*) until flushed.
+// to the model (and to Estimate) until flushed.
 //
 // Concurrency (DESIGN.md §11). With update_workers != 0 the engine is a
 // concurrent serving core: the registry is striped (kRegistryStripes
 // locks), each table runs a SERVING/UPDATING/DRAINING state machine, full
 // micro-batches execute on a per-table FIFO strand of a background
 // TaskExecutor (updates for one table never reorder or overlap; distinct
-// tables update in parallel), and Estimate* serves from the last published
+// tables update in parallel), and Estimate serves from the last published
 // read-only model snapshot — an atomic shared_ptr swap per completed
 // batch, so readers never block on training. Ingest/Estimate/Flush/Report
 // are thread-safe against each other and against running updates; the
@@ -277,8 +270,8 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // Registers an empty-or-populated base table under `name`. The table
-  // needs at least one column; its schema becomes the contract every later
-  // batch is validated against.
+  // needs at least one column and finite numeric values; its schema becomes
+  // the contract every later batch is validated against.
   Status CreateTable(const std::string& name, const storage::Table& base_data,
                      const TableOptions& options = {});
 
@@ -290,7 +283,9 @@ class Engine {
 
   // Buffers `batch` (validated against the table schema; empty is a no-op)
   // and runs the DDUp loop for every completed micro-batch — inline (sync)
-  // or on the table's background update strand (async, non-blocking).
+  // or on the table's background update strand (async, non-blocking). A
+  // batch holding a NaN or infinite numeric value is refused whole with
+  // InvalidArgument, naming the column and row, before any row is buffered.
   StatusOr<IngestResult> Ingest(const std::string& name,
                                 const storage::Table& batch);
 
@@ -320,61 +315,22 @@ class Engine {
   // Answers are deterministic per query regardless of thread interleaving,
   // batch size or call order.
   //
-  // Single-table batches execute on the exec engine named in
-  // EngineConfig::estimate_engine — "vectorized" amortizes per-call setup
-  // (weight freezing, scratch, kernel dispatch) across the batch and runs
-  // the models' fused GEMM paths. Join batches are planned and fanned out
-  // per table by the QueryRouter (api/router.h), then combined under
+  // Single-table batches go straight to the served model's
+  // TryEstimate*Batch override, which amortizes per-call setup (weight
+  // freezing, scratch, kernel dispatch) across the batch and runs the
+  // models' fused GEMM paths. Join batches are planned and fanned out per
+  // table by the QueryRouter (api/router.h), then combined under
   // request.combiner. See EstimateRequest for the request shapes.
   StatusOr<EstimateResponse> Estimate(const EstimateRequest& request) const;
-
-  // --- Legacy string-keyed estimate overloads -----------------------------
-  //
-  // DEPRECATED shims over Estimate(EstimateRequest). They remain
-  // byte-identical to their historical behavior — same answers bit-for-bit,
-  // same error messages (scalar errors carry no "query 0: " batch prefix) —
-  // and are pinned that way in tests/engine_test.cc, but new call sites
-  // should build an EstimateRequest instead.
-  //
-  // Migration:
-  //   EstimateCardinality(t, q)        -> {kind=kCardinality, table=t,
-  //                                        queries={q}}, answers[0]
-  //   EstimateCardinalityBatch(t, b)   -> {kind=kCardinality, table=t,
-  //                                        queries=b}
-  //   EstimateAqp(t, q)                -> {kind=kAqp, table=t, queries={q}},
-  //                                        answers[0]
-  //   EstimateAqpBatch(t, b)           -> {kind=kAqp, table=t, queries=b}
-  // Multi-table queries have no legacy spelling; build the join shape of
-  // EstimateRequest (or use api::QueryRouter directly).
-  //
-  // One historical quirk the shims deliberately do NOT preserve: the old
-  // scalar calls never consulted EngineConfig::estimate_engine, so an
-  // engine configured with an unknown exec-engine name only failed on
-  // batch calls. Scalar shims now validate it too (InvalidArgument).
-  StatusOr<double> EstimateCardinality(const std::string& name,
-                                       const workload::Query& query) const;
-  StatusOr<double> EstimateAqp(const std::string& name,
-                               const workload::Query& query) const;
-  StatusOr<std::vector<double>> EstimateCardinalityBatch(
-      const std::string& name, const workload::QueryBatch& batch) const;
-  StatusOr<std::vector<double>> EstimateAqpBatch(
-      const std::string& name, const workload::QueryBatch& batch) const;
 
   StatusOr<TableReport> Report(const std::string& name) const;
   std::vector<std::string> TableNames() const;  // sorted
   bool HasTable(const std::string& name) const;
 
-  // Barrier over the update workers: blocks until every queued update has
-  // run (no-op on a synchronous engine). Unlike Flush it pushes nothing —
-  // accumulator remainders stay buffered — so it is the quiesce point a
-  // multi-engine checkpoint wants before serializing (serving::Cluster
-  // drains every shard through this before any shard file is written).
-  void Quiesce();
-
   // Pauses/resumes the update workers (async; no-ops sync). While paused,
   // Ingest still buffers and enqueues (admission decisions apply against
   // the frozen backlog) but nothing trains and no snapshot publishes.
-  // Flush/FlushAll/Save/Quiesce while paused block until ResumeUpdates —
+  // Flush/FlushAll/Save while paused block until ResumeUpdates —
   // pairing them is on the caller. Built for deterministic admission tests
   // and maintenance windows, not for steady-state use.
   void PauseUpdates();
@@ -462,7 +418,7 @@ class Engine {
     std::mutex admission_mu;
     std::condition_variable admission_cv;
 
-    // What Estimate* serves, swapped as one atomic unit (access ONLY via
+    // What Estimate serves, swapped as one atomic unit (access ONLY via
     // std::atomic_load/atomic_store on `serving`): the model handle plus
     // its estimator interface pointers, resolved with dynamic_cast once
     // here so the hot path never casts. Async engines publish a view over
@@ -487,7 +443,7 @@ class Engine {
     // is guarded by mu and folds rows exactly when they leave the
     // accumulator for the DDUp loop (inline drain or strand enqueue), so
     // the snapshot tracks the flushed state the models serve — buffered
-    // rows are invisible here just as they are to Estimate*. Published
+    // rows are invisible here just as they are to Estimate. Published
     // snapshots are immutable; access `stats` ONLY via
     // std::atomic_load/atomic_store (same discipline as `serving`).
     storage::TableStatsBuilder stats_builder;
@@ -518,10 +474,9 @@ class Engine {
       const std::string& name) const;
   bool async() const { return executor_ != nullptr; }
 
-  // Single-table body of Estimate(): resolves the exec engine, the table
-  // and its serving view, then runs the whole batch through the exec
-  // engine. Batch-execution errors carry the exec engines' "query <i>: "
-  // prefix; the scalar shims strip it for batch-of-1 calls.
+  // Single-table body of Estimate(): resolves the table and its serving
+  // view, then hands the whole batch to the model's TryEstimate*Batch
+  // (errors carry its "query <i>: " prefix).
   StatusOr<std::vector<double>> EstimateSingleTable(
       EstimateRequest::Kind kind, const std::string& name,
       const workload::QueryBatch& batch) const;

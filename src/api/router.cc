@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "api/engine.h"
-#include "exec/estimator_engine.h"
 #include "storage/stats.h"
 
 namespace ddup::api {
@@ -30,16 +29,6 @@ std::string JoinedNames(const std::vector<std::string>& names) {
 
 const char* TypeName(storage::ColumnType type) {
   return type == storage::ColumnType::kNumeric ? "numeric" : "categorical";
-}
-
-// Strips the batch "join query 0: " prefix for the scalar call.
-Status StripBatchPrefix(const Status& status) {
-  constexpr const char kPrefix[] = "join query 0: ";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (status.message().rfind(kPrefix, 0) == 0) {
-    return Status(status.code(), status.message().substr(kPrefixLen));
-  }
-  return status;
 }
 
 Status PrefixedError(size_t index, const Status& status) {
@@ -150,12 +139,6 @@ std::optional<PlanError> PlanErrorFromStatus(const Status& status) {
   return std::nullopt;
 }
 
-const Engine* QueryRouter::Route(const std::string& table) const {
-  if (!route_) return engine_;
-  const Engine* shard = route_(table);
-  return shard != nullptr ? shard : engine_;
-}
-
 const JoinCombiner* FindJoinCombiner(const std::string& name) {
   static const JoinUniformityCombiner* uniformity =
       new JoinUniformityCombiner();
@@ -193,7 +176,7 @@ StatusOr<JoinPlan> QueryRouter::Plan(const workload::JoinQuery& query) const {
   std::map<std::string, std::shared_ptr<const storage::TableStats>> schemas;
   for (const std::string& t : plan.tables) {
     StatusOr<std::shared_ptr<Engine::TableState>> found =
-        Route(t)->FindTable(t);
+        engine_->FindTable(t);
     if (!found.ok()) {
       return MakePlanError(PlanError::kUnknownTable,
                            "no table named '" + t + "' is registered");
@@ -311,16 +294,6 @@ StatusOr<JoinPlan> QueryRouter::Plan(const workload::JoinQuery& query) const {
   return plan;
 }
 
-StatusOr<double> QueryRouter::EstimateCardinality(
-    const workload::JoinQuery& query, const std::string& combiner) const {
-  workload::JoinQueryBatch batch;
-  batch.Add(query);
-  StatusOr<std::vector<double>> answers =
-      EstimateCardinalityBatch(batch, combiner);
-  if (!answers.ok()) return StripBatchPrefix(answers.status());
-  return answers.value()[0];
-}
-
 StatusOr<std::vector<double>> QueryRouter::EstimateCardinalityBatch(
     const workload::JoinQueryBatch& batch, const std::string& combiner) const {
   const std::string& name =
@@ -330,14 +303,6 @@ StatusOr<std::vector<double>> QueryRouter::EstimateCardinalityBatch(
     return Status::InvalidArgument(
         "unknown join combiner '" + name +
         "'; registered: " + JoinedNames(RegisteredJoinCombiners()));
-  }
-  const exec::EstimatorEngine* exec_engine =
-      exec::FindEstimatorEngine(engine_->config_.estimate_engine);
-  if (exec_engine == nullptr) {
-    return Status::InvalidArgument(
-        "unknown estimate engine '" + engine_->config_.estimate_engine +
-        "'; registered: " +
-        JoinedNames(exec::RegisteredEstimatorEngines()));
   }
 
   // Plan every query first — fail fast before any estimate runs.
@@ -366,7 +331,7 @@ StatusOr<std::vector<double>> QueryRouter::EstimateCardinalityBatch(
     for (const std::string& t : plan.tables) {
       if (snapshots.count(t) > 0) continue;
       StatusOr<std::shared_ptr<Engine::TableState>> found =
-          Route(t)->FindTable(t);
+          engine_->FindTable(t);
       if (!found.ok()) return found.status();
       TableSnapshot& snap = snapshots[t];
       snap.view = std::atomic_load(&found.value()->serving);
@@ -376,7 +341,7 @@ StatusOr<std::vector<double>> QueryRouter::EstimateCardinalityBatch(
   }
 
   // Gather all subqueries per table across the batch, then run each table's
-  // gathered batch through the exec engine once.
+  // gathered batch through its model's batch override once.
   for (const JoinPlan& plan : plans) {
     for (const PlannedSubquery& sub : plan.subqueries) {
       snapshots.at(sub.table).subqueries.Add(sub.query);
@@ -393,8 +358,8 @@ StatusOr<std::vector<double>> QueryRouter::EstimateCardinalityBatch(
           "model kind '" + snap.model_kind + "' on table '" + table +
           "' does not serve cardinality estimates");
     }
-    Status run = exec_engine->EstimateCardinalityBatch(
-        *snap.view->card, snap.subqueries, &snap.answers);
+    Status run = snap.view->card->TryEstimateCardinalityBatch(
+        snap.subqueries.queries, &snap.answers);
     if (!run.ok()) {
       return Status(run.code(), "table '" + table + "': " + run.message());
     }

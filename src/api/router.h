@@ -2,7 +2,6 @@
 #define DDUP_API_ROUTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,7 +14,7 @@ namespace ddup::api {
 class Engine;
 
 // ---------------------------------------------------------------------------
-// Typed planning errors. Plan() and the estimate calls return Status, but
+// Typed planning errors. Plan() and the estimate call return Status, but
 // every planning failure carries one of these machine-readable codes (as a
 // stable "[plan:<tag>]" message prefix) so callers can branch on the cause
 // without string-matching ad-hoc prose. PlanErrorFromStatus recovers the
@@ -139,9 +138,9 @@ struct JoinPlan {
 // router call observes each table at exactly one snapshot.
 //
 // Batched execution: all subqueries that land on one table — across every
-// join query in the batch — run as a single workload::QueryBatch through
-// the Engine's configured exec::EstimatorEngine, so the PR 7 vectorized
-// paths amortize across the join workload. Answers are deterministic and
+// join query in the batch — run as a single TryEstimateCardinalityBatch
+// call on that table's model, so the models' vectorized paths amortize
+// across the join workload. Answers are deterministic and
 // batch-/order-invariant per join query (canonical subqueries keep the
 // per-query RNG streams stable; see workload/join_query.h).
 //
@@ -152,18 +151,6 @@ class QueryRouter {
  public:
   explicit QueryRouter(const Engine* engine) : engine_(engine) {}
 
-  // Cross-shard routing (serving::Cluster): `route` maps a table name to
-  // the Engine shard that owns it — the router fans each planned per-table
-  // subquery batch out to its owner, so one join query can span shards.
-  // `config_source` supplies the shared engine-level knobs (the exec
-  // estimate engine); every shard of a cluster is built from one
-  // EngineConfig, so any shard serves. A resolver returning nullptr for a
-  // table falls back to `config_source`, whose registry lookup then yields
-  // the standard [plan:unknown-table] error.
-  QueryRouter(const Engine* config_source,
-              std::function<const Engine*(const std::string&)> route)
-      : engine_(config_source), route_(std::move(route)) {}
-
   // Validates and plans `query` against the registered tables: resolves
   // every referenced table and column, type-checks the equi-join columns,
   // checks the join graph is a tree, splits the predicates into canonical
@@ -171,27 +158,18 @@ class QueryRouter {
   // with a typed plan error (see PlanError) — never with ad-hoc strings.
   StatusOr<JoinPlan> Plan(const workload::JoinQuery& query) const;
 
-  // Plans and executes one join-cardinality estimate under the named
-  // combiner ("" = kDefaultJoinCombiner). FailedPrecondition if a
-  // predicated table has no model attached or its model kind does not
-  // serve cardinality estimates.
-  StatusOr<double> EstimateCardinality(const workload::JoinQuery& query,
-                                       const std::string& combiner = {}) const;
-
-  // Batch variant: answers[i] corresponds to batch.queries[i], each
-  // bit-identical to the scalar call for that query. Fails fast on the
-  // first invalid query; the error is prefixed "join query <i>: ".
+  // Plans and executes join-cardinality estimates under the named combiner
+  // ("" = kDefaultJoinCombiner): answers[i] corresponds to batch.queries[i],
+  // each bit-identical to the batch-of-1 call for that query. Fails fast on
+  // the first invalid query; the error is prefixed "join query <i>: ".
+  // FailedPrecondition if a predicated table has no model attached or its
+  // model kind does not serve cardinality estimates.
   StatusOr<std::vector<double>> EstimateCardinalityBatch(
       const workload::JoinQueryBatch& batch,
       const std::string& combiner = {}) const;
 
  private:
-  // The engine owning `table`: the resolver's answer under cross-shard
-  // routing, else the single engine this router was built on.
-  const Engine* Route(const std::string& table) const;
-
   const Engine* engine_;
-  std::function<const Engine*(const std::string&)> route_;
 };
 
 }  // namespace ddup::api

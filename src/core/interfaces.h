@@ -70,7 +70,8 @@ inline double ResolveAlpha(const DistillConfig& config, int64_t old_rows,
 // lock. The RNG stream is derived per query from (model seed, query
 // fingerprint), never from a shared mutable member: the same query yields
 // the same stream at any batch size, batch position or call count, which is
-// what lets the differential harness byte-compare engines.
+// what lets the differential test byte-compare each model's batch override
+// against the scalar spec.
 //
 // Matrix scratch is NOT carried here — it comes from the calling thread's
 // MatrixPool::Local(), which is already per-thread and allocation-free once

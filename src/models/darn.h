@@ -120,7 +120,7 @@ class Darn : public core::UpdatableModel, public core::CardinalityEstimator {
   // panel — per-row results are then independent of what else shares the
   // batch, which is what makes answers batch-size-invariant bit for bit.
   //
-  // `active_set` opts into the vectorized engine's MADE-degree execution
+  // `active_set` opts into the batch override's MADE-degree execution
   // strategy: output block `col` structurally reads only hidden units of
   // degree < col+1 (mask3) and those read only the same unit set (mask2),
   // so both per-column GEMMs shrink to the active submatrix. This is exact

@@ -62,10 +62,10 @@ struct AdmissionContext {
   int64_t buffered_batches = 0;  // full micro-batches waiting to enqueue
 };
 
-// Stateless process-lifetime singletons, like the exec engines and the join
-// combiners. A policy sees every overload decision and the group-size
-// question; anything load-dependent (shed only above 2x the bound, coalesce
-// with a group cap...) slots in as a new policy without engine changes.
+// Stateless process-lifetime singletons, like the join combiners. A policy
+// sees every overload decision and the group-size question; anything
+// load-dependent (shed only above 2x the bound, coalesce with a group
+// cap...) slots in as a new policy without engine changes.
 class AdmissionPolicy {
  public:
   virtual ~AdmissionPolicy() = default;

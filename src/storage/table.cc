@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/status.h"
@@ -113,6 +114,22 @@ Status CheckSchemaCompatible(const Table& expected, const Table& actual) {
           "schema mismatch at column '" + want.name() +
           "': dictionaries differ (" + std::to_string(want.cardinality()) +
           " vs " + std::to_string(got.cardinality()) + " entries)");
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckFinite(const Table& table) {
+  for (int i = 0; i < table.num_columns(); ++i) {
+    const Column& column = table.column(i);
+    if (!column.is_numeric()) continue;
+    const std::vector<double>& values = column.numeric_values();
+    for (size_t row = 0; row < values.size(); ++row) {
+      if (!std::isfinite(values[row])) {
+        return Status::InvalidArgument(
+            "column '" + column.name() + "' row " + std::to_string(row) +
+            " holds a non-finite value (" + std::to_string(values[row]) + ")");
+      }
     }
   }
   return Status::OK();

@@ -54,6 +54,12 @@ class Table {
 // surfaces a recoverable error instead of aborting inside Append.
 Status CheckSchemaCompatible(const Table& expected, const Table& actual);
 
+// OK iff every numeric value in `table` is finite; otherwise an
+// InvalidArgument naming the column and the first NaN/Inf row. Models and
+// the detector's statistics assume finite inputs, so ingestion boundaries
+// refuse such rows before they reach a model.
+Status CheckFinite(const Table& table);
+
 }  // namespace ddup::storage
 
 #endif  // DDUP_STORAGE_TABLE_H_

@@ -33,8 +33,8 @@ struct Query {
 // True iff row `row` of `table` satisfies every predicate.
 bool RowMatches(const storage::Table& table, const Query& query, int64_t row);
 
-// A set of queries submitted for estimation as one unit, so execution
-// engines (src/exec) can amortize per-call work — weight freezing, scratch
+// A set of queries submitted for estimation as one unit, so the models'
+// batch overrides can amortize per-call work — weight freezing, scratch
 // acquisition, kernel dispatch — across all of them. The batch carries no
 // execution state; it is a plain value the caller can reuse and re-split.
 // Estimate results are defined per query (keyed on each query's content,

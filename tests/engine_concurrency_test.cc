@@ -62,6 +62,16 @@ EngineConfig FastEngineConfig(int64_t micro_batch, int update_workers) {
   return config;
 }
 
+// An AQP request for `queries` on `table`.
+EstimateRequest AqpRequest(const std::string& table,
+                           std::vector<workload::Query> queries) {
+  EstimateRequest request;
+  request.kind = EstimateRequest::Kind::kAqp;
+  request.table = table;
+  request.queries = workload::QueryBatch(std::move(queries));
+  return request;
+}
+
 workload::Query AqpRangeQuery(double lo, double hi) {
   workload::Query q;
   workload::Predicate eq;
@@ -144,9 +154,9 @@ TEST(EngineConcurrencyTest, StressedAsyncEngineMatchesSyncReplay) {
     int i = offset;
     while (!done.load(std::memory_order_acquire)) {
       const std::string& table = names[static_cast<size_t>(i) % kTables];
-      auto est = async_engine.EstimateAqp(
-          table, AqpRangeQuery(10.0 + (i % 5) * 8, 60.0 + (i % 4) * 10));
-      if (!est.ok() || !std::isfinite(est.value())) {
+      auto est = async_engine.Estimate(AqpRequest(
+          table, {AqpRangeQuery(10.0 + (i % 5) * 8, 60.0 + (i % 4) * 10)}));
+      if (!est.ok() || !std::isfinite(est.value().answers[0])) {
         estimate_failed.store(true);
       } else {
         estimates_served.fetch_add(1);
@@ -218,13 +228,14 @@ TEST(EngineConcurrencyTest, StressedAsyncEngineMatchesSyncReplay) {
     EXPECT_GE(a.value().queue_seconds, 0.0);
     EXPECT_GT(a.value().snapshot_publishes, 0);
 
+    std::vector<workload::Query> queries;
     for (int i = 0; i < 6; ++i) {
-      workload::Query q = AqpRangeQuery(5.0 + i * 7, 55.0 + i * 6);
-      auto ea = async_engine.EstimateAqp(names[t], q);
-      auto eb = sync_engine.EstimateAqp(names[t], q);
-      ASSERT_TRUE(ea.ok() && eb.ok());
-      EXPECT_EQ(ea.value(), eb.value());
+      queries.push_back(AqpRangeQuery(5.0 + i * 7, 55.0 + i * 6));
     }
+    auto ea = async_engine.Estimate(AqpRequest(names[t], queries));
+    auto eb = sync_engine.Estimate(AqpRequest(names[t], queries));
+    ASSERT_TRUE(ea.ok() && eb.ok());
+    EXPECT_EQ(ea.value().answers, eb.value().answers);
 
     // Both quiesced engines make the same *future* detect decision with
     // the same statistic — the detector and controller RNG streams stayed
@@ -366,13 +377,14 @@ TEST(EngineConcurrencyTest, AsyncLifecycleStateMachineAndFlushSemantics) {
   auto loaded =
       Engine::Load(path, FastEngineConfig(120, /*update_workers=*/0));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::vector<workload::Query> queries;
   for (int i = 0; i < 4; ++i) {
-    workload::Query q = AqpRangeQuery(10.0 + i * 9, 70.0 + i * 3);
-    auto a = engine.EstimateAqp("t", q);
-    auto b = loaded.value()->EstimateAqp("t", q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
+    queries.push_back(AqpRangeQuery(10.0 + i * 9, 70.0 + i * 3));
   }
+  auto a = engine.Estimate(AqpRequest("t", queries));
+  auto b = loaded.value()->Estimate(AqpRequest("t", queries));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value().answers, b.value().answers);
   std::remove(path.c_str());
 }
 

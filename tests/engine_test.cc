@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -63,6 +65,19 @@ std::string TempPath(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
 }
+
+// A single-table request for `queries` on `table`.
+EstimateRequest Request(EstimateRequest::Kind kind, const std::string& table,
+                        std::vector<workload::Query> queries) {
+  EstimateRequest request;
+  request.kind = kind;
+  request.table = table;
+  request.queries = workload::QueryBatch(std::move(queries));
+  return request;
+}
+
+constexpr EstimateRequest::Kind kCard = EstimateRequest::Kind::kCardinality;
+constexpr EstimateRequest::Kind kAqp = EstimateRequest::Kind::kAqp;
 
 workload::Query RangeCountQuery(double lo, double hi) {
   workload::Query q;
@@ -162,8 +177,8 @@ TEST(EngineTest, BadInputsAreRecoverableStatuses) {
   EXPECT_EQ(engine.Ingest("t", base).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(engine.Flush("t").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(engine.Report("t").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine.EstimateAqp("t", RangeCountQuery(0, 100)).status().code(),
-            StatusCode::kNotFound);
+  const EstimateRequest aqp = Request(kAqp, "t", {RangeCountQuery(0, 100)});
+  EXPECT_EQ(engine.Estimate(aqp).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(engine.model("t"), nullptr);
 
   EXPECT_EQ(engine.CreateTable("", base).code(), StatusCode::kInvalidArgument);
@@ -178,7 +193,7 @@ TEST(EngineTest, BadInputsAreRecoverableStatuses) {
   // Before AttachModel: ingest/estimates are FailedPrecondition.
   EXPECT_EQ(engine.Ingest("t", base).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.EstimateAqp("t", RangeCountQuery(0, 100)).status().code(),
+  EXPECT_EQ(engine.Estimate(aqp).status().code(),
             StatusCode::kFailedPrecondition);
 
   EXPECT_EQ(engine.AttachModel("t", {"nope", {}}).code(),
@@ -201,7 +216,7 @@ TEST(EngineTest, BadInputsAreRecoverableStatuses) {
   EXPECT_EQ(report.value().buffered_rows, 0);
 
   // An MDN does not serve cardinality estimates.
-  auto card = engine.EstimateCardinality("t", RangeCountQuery(0, 100));
+  auto card = engine.Estimate(Request(kCard, "t", {RangeCountQuery(0, 100)}));
   EXPECT_EQ(card.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(card.status().message().find("mdn"), std::string::npos);
 
@@ -329,19 +344,21 @@ TEST(EngineTest, MultiTableLifecycleWithMixedModelKinds) {
   EXPECT_EQ(aqp_report.value().model_kind, "mdn");
   EXPECT_EQ(card_report.value().model_kind, "darn");
 
-  auto aqp_est = engine.EstimateAqp("aqp", RangeCountQuery(20, 80));
+  auto aqp_est =
+      engine.Estimate(Request(kAqp, "aqp", {RangeCountQuery(20, 80)}));
   ASSERT_TRUE(aqp_est.ok()) << aqp_est.status().ToString();
-  EXPECT_GT(aqp_est.value(), 0.0);
-  auto card_est = engine.EstimateCardinality("card", RangeCountQuery(20, 80));
+  EXPECT_GT(aqp_est.value().answers[0], 0.0);
+  auto card_est =
+      engine.Estimate(Request(kCard, "card", {RangeCountQuery(20, 80)}));
   ASSERT_TRUE(card_est.ok()) << card_est.status().ToString();
-  EXPECT_GT(card_est.value(), 0.0);
+  EXPECT_GT(card_est.value().answers[0], 0.0);
 
   // Malformed queries come back as InvalidArgument, not a crash.
   workload::Query bad = RangeCountQuery(20, 80);
   bad.predicates[0].column = 99;
-  EXPECT_EQ(engine.EstimateCardinality("card", bad).status().code(),
+  EXPECT_EQ(engine.Estimate(Request(kCard, "card", {bad})).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.EstimateAqp("aqp", bad).status().code(),
+  EXPECT_EQ(engine.Estimate(Request(kAqp, "aqp", {bad})).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -366,16 +383,16 @@ TEST(EngineTest, SaveLoadRoundTripsBitIdentically) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   // Estimates over both tables are bit-identical.
+  std::vector<workload::Query> queries;
   for (int i = 0; i < 8; ++i) {
-    workload::Query q = RangeCountQuery(10.0 + i * 5, 60.0 + i * 5);
-    auto a = engine.EstimateAqp("aqp", q);
-    auto b = loaded.value()->EstimateAqp("aqp", q);
+    queries.push_back(RangeCountQuery(10.0 + i * 5, 60.0 + i * 5));
+  }
+  for (const EstimateRequest& request :
+       {Request(kAqp, "aqp", queries), Request(kCard, "card", queries)}) {
+    auto a = engine.Estimate(request);
+    auto b = loaded.value()->Estimate(request);
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
-    auto c = engine.EstimateCardinality("card", q);
-    auto d = loaded.value()->EstimateCardinality("card", q);
-    ASSERT_TRUE(c.ok() && d.ok());
-    EXPECT_EQ(c.value(), d.value());
+    EXPECT_EQ(a.value().answers, b.value().answers) << request.table;
   }
 
   // Detector state, counters and the accumulator round-trip exactly.
@@ -503,10 +520,7 @@ TEST(EngineTest, LoadRejectsMissingAndCorruptFiles) {
   std::remove(path.c_str());
 }
 
-TEST(EngineTest, LegacyOverloadsAreByteIdenticalShimsOverEstimate) {
-  // The deprecated string-keyed overloads are pinned as thin shims over
-  // Estimate(EstimateRequest): same answers bit-for-bit, same error
-  // messages (scalar errors carry no "query <i>: " batch prefix).
+TEST(EngineTest, EstimateRequestShapesAndErrors) {
   Engine engine(FastEngineConfig(100));
   storage::Table base = MakeConditional(25, 75, 300, 4);
   ASSERT_TRUE(engine.CreateTable("card", base).ok());
@@ -514,61 +528,16 @@ TEST(EngineTest, LegacyOverloadsAreByteIdenticalShimsOverEstimate) {
   ASSERT_TRUE(engine.CreateTable("aqp", base).ok());
   ASSERT_TRUE(engine.AttachModel("aqp", FastMdnSpec()).ok());
 
-  workload::QueryBatch batch;
-  batch.Add(RangeCountQuery(10, 40));
-  batch.Add(RangeCountQuery(25, 75));
-  batch.Add(RangeCountQuery(60, 90));
-
-  EstimateRequest card_request;
-  card_request.table = "card";
-  card_request.queries = batch;
-  auto card_structured = engine.Estimate(card_request);
-  ASSERT_TRUE(card_structured.ok()) << card_structured.status().ToString();
-  auto card_batch = engine.EstimateCardinalityBatch("card", batch);
-  ASSERT_TRUE(card_batch.ok());
-  EXPECT_EQ(card_structured.value().answers, card_batch.value());
-  for (size_t i = 0; i < batch.queries.size(); ++i) {
-    auto scalar = engine.EstimateCardinality("card", batch.queries[i]);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_EQ(scalar.value(), card_structured.value().answers[i]) << i;
-  }
-
-  EstimateRequest aqp_request;
-  aqp_request.kind = EstimateRequest::Kind::kAqp;
-  aqp_request.table = "aqp";
-  aqp_request.queries = batch;
-  auto aqp_structured = engine.Estimate(aqp_request);
-  ASSERT_TRUE(aqp_structured.ok()) << aqp_structured.status().ToString();
-  auto aqp_batch = engine.EstimateAqpBatch("aqp", batch);
-  ASSERT_TRUE(aqp_batch.ok());
-  EXPECT_EQ(aqp_structured.value().answers, aqp_batch.value());
-  for (size_t i = 0; i < batch.queries.size(); ++i) {
-    auto scalar = engine.EstimateAqp("aqp", batch.queries[i]);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_EQ(scalar.value(), aqp_structured.value().answers[i]) << i;
-  }
-
-  // Error-message parity: batch errors name the query, scalar errors do
-  // not — the shim strips the exec engines' "query 0: " prefix.
+  // Batch errors name the failing query's index.
   workload::Query bad;
   bad.predicates.push_back({99, workload::CompareOp::kEq, 0.0});
-  auto scalar_err = engine.EstimateCardinality("card", bad);
-  ASSERT_FALSE(scalar_err.ok());
-  EXPECT_EQ(scalar_err.status().message().find("query 0: "),
-            std::string::npos)
-      << scalar_err.status().ToString();
-  EXPECT_EQ(scalar_err.status().message().rfind("predicate on", 0), 0u)
-      << scalar_err.status().ToString();
-  workload::QueryBatch bad_second;
-  bad_second.Add(RangeCountQuery(10, 40));
-  bad_second.Add(bad);
-  auto batch_err = engine.EstimateCardinalityBatch("card", bad_second);
+  auto batch_err =
+      engine.Estimate(Request(kCard, "card", {RangeCountQuery(10, 40), bad}));
   ASSERT_FALSE(batch_err.ok());
   EXPECT_EQ(batch_err.status().message().rfind("query 1: ", 0), 0u)
       << batch_err.status().ToString();
 
-  // Unknown-table parity holds through the structured path too (including
-  // the legacy empty-name spelling).
+  // Unknown tables, including the empty name, are NotFound.
   EstimateRequest unknown;
   unknown.table = "nope";
   EXPECT_EQ(engine.Estimate(unknown).status().code(), StatusCode::kNotFound);
@@ -576,7 +545,7 @@ TEST(EngineTest, LegacyOverloadsAreByteIdenticalShimsOverEstimate) {
   EXPECT_EQ(engine.Estimate(unnamed).status().code(), StatusCode::kNotFound);
 
   // A request populating both the single-table and join shapes is malformed.
-  EstimateRequest both = card_request;
+  EstimateRequest both = Request(kCard, "card", {RangeCountQuery(10, 40)});
   workload::JoinQuery join;
   join.joins.push_back({"card", "y", "aqp", "y"});
   both.joins.Add(join);
@@ -584,17 +553,58 @@ TEST(EngineTest, LegacyOverloadsAreByteIdenticalShimsOverEstimate) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 
-  // An empty single-table batch answers with an empty vector, same as the
-  // legacy batch overload.
+  // An empty single-table batch answers with an empty vector.
   EstimateRequest empty;
   empty.table = "card";
   auto none = engine.Estimate(empty);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none.value().answers.empty());
-  auto legacy_none =
-      engine.EstimateCardinalityBatch("card", workload::QueryBatch{});
-  ASSERT_TRUE(legacy_none.ok());
-  EXPECT_TRUE(legacy_none.value().empty());
+}
+
+TEST(EngineTest, NonFiniteRowsAreRefusedAtTheBoundary) {
+  // A NaN or infinite numeric value would train into the model and abort a
+  // later estimate; CreateTable and Ingest refuse it before any row is
+  // buffered.
+  Engine engine(FastEngineConfig(64));
+  storage::Table base = MakeConditional(25, 75, 300, 40);
+  ASSERT_TRUE(engine.CreateTable("t", base).ok());
+  ASSERT_TRUE(engine.AttachModel("t", FastMdnSpec()).ok());
+  // A buffered trickle the refused batches must leave untouched.
+  ASSERT_TRUE(engine.Ingest("t", MakeConditional(25, 75, 10, 41)).ok());
+
+  for (double poison : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()}) {
+    storage::Table batch = MakeConditional(25, 75, 64, 42);
+    (*batch.mutable_column(1)->mutable_numeric_values())[17] = poison;
+    auto refused = engine.Ingest("t", batch);
+    ASSERT_FALSE(refused.ok()) << poison;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("column 'y' row 17"),
+              std::string::npos)
+        << refused.status().ToString();
+    auto report = engine.Report("t");
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report.value().buffered_rows, 10);
+    EXPECT_EQ(report.value().rows, 300);
+    EXPECT_EQ(report.value().insertions, 0);
+
+    storage::Table bad_base = base;
+    (*bad_base.mutable_column(1)->mutable_numeric_values())[3] = poison;
+    Status created = engine.CreateTable("bad", bad_base);
+    EXPECT_EQ(created.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(created.message().find("column 'y' row 3"), std::string::npos)
+        << created.ToString();
+    EXPECT_FALSE(engine.HasTable("bad"));
+  }
+
+  // The model never saw the poison: a full flush plus estimates stay finite.
+  ASSERT_TRUE(engine.Ingest("t", MakeConditional(25, 75, 64, 43)).ok());
+  ASSERT_TRUE(engine.Flush("t").ok());
+  auto est = engine.Estimate(
+      Request(kAqp, "t", {RangeCountQuery(0, 100), RangeCountQuery(20, 40)}));
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
+  for (double answer : est.value().answers) EXPECT_TRUE(std::isfinite(answer));
 }
 
 // ---------------------------------------------------------------------------
@@ -637,13 +647,14 @@ TEST(EngineTest, CheckpointCodecKnob) {
   auto from_raw = Engine::Load(raw_path, config);
   ASSERT_TRUE(from_default.ok()) << from_default.status().ToString();
   ASSERT_TRUE(from_raw.ok()) << from_raw.status().ToString();
+  std::vector<workload::Query> queries;
   for (int i = 0; i < 6; ++i) {
-    workload::Query q = RangeCountQuery(10.0 + i * 5, 60.0 + i * 5);
-    auto a = from_default.value()->EstimateCardinality("t", q);
-    auto b = from_raw.value()->EstimateCardinality("t", q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
+    queries.push_back(RangeCountQuery(10.0 + i * 5, 60.0 + i * 5));
   }
+  auto a = from_default.value()->Estimate(Request(kCard, "t", queries));
+  auto b = from_raw.value()->Estimate(Request(kCard, "t", queries));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value().answers, b.value().answers);
 
   // The manifest records the codec: a Load → Save cycle with no codec in
   // the loading config keeps writing raw (same file size, not compressed).

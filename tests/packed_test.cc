@@ -33,7 +33,9 @@ namespace {
     if (ca.is_numeric()) {
       const auto& va = ca.numeric_values();
       const auto& vb = cb.numeric_values();
-      if (std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)) != 0) {
+      // An empty vector's data() may be null, which memcmp must not see.
+      if (!va.empty() &&
+          std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)) != 0) {
         return ::testing::AssertionFailure()
                << "numeric column '" << ca.name() << "' differs bitwise";
       }

@@ -75,6 +75,19 @@ EngineConfig FastEngineConfig(int64_t micro_batch, int update_workers = 0) {
   return config;
 }
 
+// One join estimate through the engine's front door: the join shape of
+// EstimateRequest with a single query. Errors carry the "join query 0: "
+// batch prefix.
+StatusOr<double> EstimateJoin(const Engine& engine, const JoinQuery& query,
+                              const std::string& combiner = {}) {
+  EstimateRequest request;
+  request.joins.Add(query);
+  request.combiner = combiner;
+  StatusOr<EstimateResponse> response = engine.Estimate(request);
+  if (!response.ok()) return response.status();
+  return response.value().answers[0];
+}
+
 JoinEdge Edge(const std::string& lt, const std::string& lc,
               const std::string& rt, const std::string& rc) {
   JoinEdge e;
@@ -200,7 +213,7 @@ TEST(QueryRouterTest, EveryPlanErrorCodeIsTypedAndRecoverable) {
     ASSERT_TRUE(got.has_value()) << plan.status().ToString();
     EXPECT_EQ(got.value(), want) << plan.status().ToString();
     // Estimation surfaces the same typed error.
-    auto est = router.EstimateCardinality(q);
+    auto est = EstimateJoin(engine, q);
     ASSERT_FALSE(est.ok());
     EXPECT_EQ(PlanErrorFromStatus(est.status()), got);
   };
@@ -264,7 +277,7 @@ TEST(QueryRouterTest, EveryPlanErrorCodeIsTypedAndRecoverable) {
   JoinQuery needs_model;
   needs_model.joins = {Edge("fact", "fk_a", "dim_a", "id_a")};
   needs_model.predicates = {Pred("fact", 2, CompareOp::kLe, 4.0)};
-  auto est = router.EstimateCardinality(needs_model);
+  auto est = EstimateJoin(engine, needs_model);
   ASSERT_FALSE(est.ok());
   EXPECT_EQ(est.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(PlanErrorFromStatus(est.status()).has_value());
@@ -272,7 +285,7 @@ TEST(QueryRouterTest, EveryPlanErrorCodeIsTypedAndRecoverable) {
   // Unknown combiner names list the registered ones.
   JoinQuery fine;
   fine.joins = {Edge("fact", "fk_a", "dim_a", "id_a")};
-  auto bad_combiner = router.EstimateCardinality(fine, "nope");
+  auto bad_combiner = EstimateJoin(engine, fine, "nope");
   ASSERT_FALSE(bad_combiner.ok());
   EXPECT_EQ(bad_combiner.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad_combiner.status().message().find("join-uniformity"),
@@ -290,7 +303,6 @@ TEST(QueryRouterTest, CleanForeignKeyJoinsAreExactWithoutModels) {
   ASSERT_TRUE(engine.CreateTable("fact", fact).ok());
   ASSERT_TRUE(engine.CreateTable("dim_a", dim_a).ok());
   ASSERT_TRUE(engine.CreateTable("dim_b", dim_b).ok());
-  QueryRouter router(&engine);
 
   workload::Query none;
   JoinQuery two;
@@ -299,7 +311,7 @@ TEST(QueryRouterTest, CleanForeignKeyJoinsAreExactWithoutModels) {
       ExactJoin2(fact, 0, none, dim_a, 0, none));
   EXPECT_EQ(exact2, 120.0);
   for (const std::string& combiner : RegisteredJoinCombiners()) {
-    auto est = router.EstimateCardinality(two, combiner);
+    auto est = EstimateJoin(engine, two, combiner);
     ASSERT_TRUE(est.ok()) << est.status().ToString();
     EXPECT_DOUBLE_EQ(est.value(), exact2) << combiner;
   }
@@ -311,7 +323,7 @@ TEST(QueryRouterTest, CleanForeignKeyJoinsAreExactWithoutModels) {
       ExactStar3(fact, none, dim_a, none, dim_b, none));
   EXPECT_EQ(exact3, 120.0);
   for (const std::string& combiner : RegisteredJoinCombiners()) {
-    auto est = router.EstimateCardinality(three, combiner);
+    auto est = EstimateJoin(engine, three, combiner);
     ASSERT_TRUE(est.ok()) << est.status().ToString();
     EXPECT_DOUBLE_EQ(est.value(), exact3) << combiner;
   }
@@ -328,7 +340,6 @@ TEST(QueryRouterTest, CombinersDivergeWhenReferentialIntegrityBreaks) {
   storage::Table dim_a = Dim("dim_a", "id_a", 8);
   ASSERT_TRUE(engine.CreateTable("fact", fact).ok());
   ASSERT_TRUE(engine.CreateTable("dim_a", dim_a).ok());
-  QueryRouter router(&engine);
 
   workload::Query none;
   const double exact = static_cast<double>(
@@ -337,8 +348,8 @@ TEST(QueryRouterTest, CombinersDivergeWhenReferentialIntegrityBreaks) {
 
   JoinQuery query;
   query.joins = {Edge("fact", "fk_a", "dim_a", "id_a")};
-  auto uniformity = router.EstimateCardinality(query, "join-uniformity");
-  auto fanout = router.EstimateCardinality(query, "fanout-scaling");
+  auto uniformity = EstimateJoin(engine, query, "join-uniformity");
+  auto fanout = EstimateJoin(engine, query, "fanout-scaling");
   ASSERT_TRUE(uniformity.ok()) << uniformity.status().ToString();
   ASSERT_TRUE(fanout.ok()) << fanout.status().ToString();
   EXPECT_DOUBLE_EQ(uniformity.value(), exact);
@@ -352,7 +363,6 @@ TEST(QueryRouterTest, PredicatedJoinsCombineModelSelectivities) {
   ASSERT_TRUE(engine.CreateTable("fact", fact).ok());
   ASSERT_TRUE(engine.CreateTable("dim_a", dim_a).ok());
   ASSERT_TRUE(engine.AttachModel("fact", FastSpnSpec()).ok());
-  QueryRouter router(&engine);
 
   JoinQuery query;
   query.joins = {Edge("fact", "fk_a", "dim_a", "id_a")};
@@ -363,13 +373,16 @@ TEST(QueryRouterTest, PredicatedJoinsCombineModelSelectivities) {
   // estimate surface the join answer is built from.
   workload::Query fact_sub;
   fact_sub.predicates = {query.predicates[0].predicate};
-  auto single = engine.EstimateCardinality("fact", fact_sub);
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EstimateRequest single;
+  single.table = "fact";
+  single.queries.Add(fact_sub);
+  auto fact_est = engine.Estimate(single);
+  ASSERT_TRUE(fact_est.ok()) << fact_est.status().ToString();
   const double sel =
-      std::min(1.0, std::max(0.0, single.value() / 240.0));
+      std::min(1.0, std::max(0.0, fact_est.value().answers[0] / 240.0));
 
   for (const std::string& combiner : RegisteredJoinCombiners()) {
-    auto est = router.EstimateCardinality(query, combiner);
+    auto est = EstimateJoin(engine, query, combiner);
     ASSERT_TRUE(est.ok()) << est.status().ToString();
     EXPECT_DOUBLE_EQ(est.value(), 240.0 * sel) << combiner;
 
@@ -387,7 +400,7 @@ TEST(QueryRouterTest, PredicatedJoinsCombineModelSelectivities) {
   }
 }
 
-TEST(QueryRouterTest, BatchAnswersAreBitIdenticalToScalarCalls) {
+TEST(QueryRouterTest, BatchAnswersAreBitIdenticalToPerQueryCalls) {
   Engine engine(FastEngineConfig(128));
   storage::Table fact = Fact(240, 8, 5);
   ASSERT_TRUE(engine.CreateTable("fact", fact).ok());
@@ -416,9 +429,9 @@ TEST(QueryRouterTest, BatchAnswersAreBitIdenticalToScalarCalls) {
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
     ASSERT_EQ(batched.value().size(), 3u);
     for (size_t i = 0; i < batch.queries.size(); ++i) {
-      auto scalar = router.EstimateCardinality(batch.queries[i], combiner);
-      ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-      EXPECT_EQ(batched.value()[i], scalar.value()) << combiner << " #" << i;
+      auto one = EstimateJoin(engine, batch.queries[i], combiner);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      EXPECT_EQ(batched.value()[i], one.value()) << combiner << " #" << i;
     }
   }
 
@@ -466,11 +479,10 @@ TEST(QueryRouterTest, ConcurrentEstimatesAgainstBackgroundUpdateWorkers) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&engine, &query, &done, r]() {
-      QueryRouter router(&engine);
       const std::string combiner =
           r % 2 == 0 ? "join-uniformity" : "fanout-scaling";
       while (!done.load(std::memory_order_acquire)) {
-        auto est = router.EstimateCardinality(query, combiner);
+        auto est = EstimateJoin(engine, query, combiner);
         ASSERT_TRUE(est.ok()) << est.status().ToString();
         ASSERT_TRUE(std::isfinite(est.value()));
         ASSERT_GE(est.value(), 0.0);
@@ -492,15 +504,15 @@ TEST(QueryRouterTest, ConcurrentEstimatesAgainstBackgroundUpdateWorkers) {
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
 
-  // Quiesced: batch and scalar answers agree bitwise, and the stats saw
-  // every flushed row (256 base + 6 x 96 ingested).
+  // Quiesced: the router and the engine's join shape agree bitwise, and the
+  // stats saw every flushed row (256 base + 6 x 96 ingested).
   QueryRouter router(&engine);
   JoinQueryBatch batch;
   batch.Add(query);
-  auto scalar = router.EstimateCardinality(query);
+  auto one = EstimateJoin(engine, query);
   auto batched = router.EstimateCardinalityBatch(batch);
-  ASSERT_TRUE(scalar.ok() && batched.ok());
-  EXPECT_EQ(batched.value()[0], scalar.value());
+  ASSERT_TRUE(one.ok() && batched.ok());
+  EXPECT_EQ(batched.value()[0], one.value());
   auto report = engine.Report("fact");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().rows, 256 + 6 * 96);

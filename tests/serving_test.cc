@@ -1,18 +1,13 @@
-// The sharded serving layer (DESIGN.md §15): consistent-hash placement
-// (deterministic, platform-stable, monotone under growth), engine-side
-// admission control pinned per policy — block stalls the producer, shed
-// returns the typed [admission:shed] Status without buffering, coalesce
-// merges the pile into one group task with byte-identical models — the
-// update-priority scheduler, cross-shard joins bit-identical to a single
-// engine, the quiesce-then-save cluster checkpoint, and a TSan-able stress
-// of concurrent cross-shard joins against saturated ingest.
+// Engine-side serving controls (DESIGN.md §15): admission control pinned
+// per policy — block stalls the producer, shed returns the typed
+// [admission:shed] Status without buffering, coalesce merges the pile into
+// one group task with byte-identical models — the update-priority
+// scheduler, and a TSan-able stress of concurrent joins against saturated
+// ingest.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,8 +21,6 @@
 #include "gtest/gtest.h"
 #include "io/serializer.h"
 #include "serving/admission.h"
-#include "serving/cluster.h"
-#include "serving/shard_map.h"
 #include "storage/column.h"
 #include "storage/table.h"
 #include "workload/join_query.h"
@@ -39,7 +32,6 @@ namespace {
 using api::Engine;
 using api::EngineConfig;
 using api::ModelSpec;
-using api::TableOptions;
 
 // --- Shared fixtures (the engine_concurrency_test idiom) -------------------
 
@@ -156,7 +148,7 @@ workload::BoundPredicate Pred(const std::string& table, int column,
   return p;
 }
 
-// The star join used by the cross-shard tests: fact ⋈ dim_a ⋈ dim_b with a
+// The star join used by the stress test: fact ⋈ dim_a ⋈ dim_b with a
 // predicate on the fact table.
 workload::JoinQuery StarQuery(double measure_le) {
   workload::JoinQuery q;
@@ -164,59 +156,6 @@ workload::JoinQuery StarQuery(double measure_le) {
              Edge("fact", "fk_b", "dim_b", "id_b")};
   q.predicates = {Pred("fact", 2, workload::CompareOp::kLe, measure_le)};
   return q;
-}
-
-std::string TempPath(const std::string& leaf) {
-  const char* tmpdir = std::getenv("TMPDIR");
-  return std::string(tmpdir != nullptr ? tmpdir : "/tmp") + "/" + leaf;
-}
-
-// --- Shard map -------------------------------------------------------------
-
-TEST(ShardMapTest, HashIsPlatformStableFnv1a) {
-  // Reference values (FNV-1a 64 + fmix64 finalizer): placement must never
-  // silently change — a cluster checkpoint routes tables by these bits.
-  EXPECT_EQ(ShardHash(""), 17280346270528514342ull);
-  EXPECT_EQ(ShardHash("a"), 9413272369427828315ull);
-}
-
-TEST(ShardMapTest, PlacementIsDeterministicInRangeAndBalanced) {
-  ShardMap map(4);
-  ShardMap again(4);
-  std::vector<int64_t> per_shard(4, 0);
-  for (int i = 0; i < 400; ++i) {
-    const std::string table = "table_" + std::to_string(i);
-    const int shard = map.ShardOf(table);
-    ASSERT_GE(shard, 0);
-    ASSERT_LT(shard, 4);
-    EXPECT_EQ(shard, again.ShardOf(table));  // order/instance independent
-    per_shard[static_cast<size_t>(shard)] += 1;
-  }
-  // Virtual nodes keep the split far from degenerate: every shard owns a
-  // real share of 400 names.
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_GE(per_shard[static_cast<size_t>(s)], 40) << "shard " << s;
-  }
-}
-
-TEST(ShardMapTest, GrowthOnlyMovesTablesOntoTheNewShard) {
-  ShardMap four(4);
-  ShardMap five(5);
-  int moved = 0;
-  for (int i = 0; i < 300; ++i) {
-    const std::string table = "t" + std::to_string(i);
-    const int before = four.ShardOf(table);
-    const int after = five.ShardOf(table);
-    if (before != after) {
-      // The consistent-hashing contract: a grown ring never moves a table
-      // between two pre-existing shards.
-      EXPECT_EQ(after, 4) << table << " moved " << before << "->" << after;
-      ++moved;
-    }
-  }
-  // ...and the new shard does take real ownership (≈1/5 in expectation).
-  EXPECT_GT(moved, 0);
-  EXPECT_LT(moved, 150);
 }
 
 // --- Update-priority scheduling (thread-pool layer) ------------------------
@@ -394,222 +333,30 @@ TEST(AdmissionTest, CoalesceGroupsAreByteIdenticalToUnbatchedIngest) {
 
   EXPECT_EQ(ModelStateBytes(coalesced.model("t")),
             ModelStateBytes(unbatched.model("t")));
-  for (int i = 0; i < 4; ++i) {
-    workload::Query q = AqpRangeQuery(5.0 + i * 9, 60.0 + i * 8);
-    auto a = coalesced.EstimateAqp("t", q);
-    auto b = unbatched.EstimateAqp("t", q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
-  }
-}
-
-// --- Cluster ---------------------------------------------------------------
-
-TEST(ClusterTest, SingleShardSyncClusterIsByteIdenticalToPlainEngine) {
-  // The acceptance pin: shards=1, update_workers=0, policy=block behaves
-  // byte-for-byte like a bare api::Engine — the serving layer adds routing,
-  // never semantics.
-  ClusterConfig config;
-  config.shards = 1;
-  config.engine = FastEngineConfig(120, /*update_workers=*/0);
-  Cluster cluster(config);
-  Engine plain(FastEngineConfig(120, /*update_workers=*/0));
-
-  storage::Table base = MakeConditional(25, 75, 240, 41);
-  ASSERT_TRUE(cluster.CreateTable("t", base).ok());
-  ASSERT_TRUE(plain.CreateTable("t", base).ok());
-  ASSERT_TRUE(cluster.AttachModel("t", FastMdnSpec()).ok());
-  ASSERT_TRUE(plain.AttachModel("t", FastMdnSpec()).ok());
-  for (int c = 0; c < 4; ++c) {
-    storage::Table chunk = MakeConditional(c % 2 == 0 ? 25 : 70,
-                                           c % 2 == 0 ? 75 : 30, 110,
-                                           50 + static_cast<uint64_t>(c));
-    ASSERT_TRUE(cluster.Ingest("t", chunk).ok());
-    ASSERT_TRUE(plain.Ingest("t", chunk).ok());
-  }
-  ASSERT_TRUE(cluster.FlushAll().ok());
-  ASSERT_TRUE(plain.FlushAll().ok());
-
-  EXPECT_EQ(cluster.num_shards(), 1);
-  EXPECT_EQ(cluster.ShardOf("t"), 0);
-  EXPECT_EQ(ModelStateBytes(cluster.shard(0)->model("t")),
-            ModelStateBytes(plain.model("t")));
-  auto a = cluster.Report("t");
-  auto b = plain.Report("t");
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.value().rows, b.value().rows);
-  EXPECT_EQ(a.value().insertions, b.value().insertions);
-  EXPECT_EQ(a.value().ood_updates, b.value().ood_updates);
-  for (int i = 0; i < 4; ++i) {
-    api::EstimateRequest request;
-    request.kind = api::EstimateRequest::Kind::kAqp;
-    request.table = "t";
-    request.queries.Add(AqpRangeQuery(10.0 + i * 7, 65.0 + i * 5));
-    auto ca = cluster.Estimate(request);
-    auto cb = plain.Estimate(request);
-    ASSERT_TRUE(ca.ok() && cb.ok());
-    EXPECT_EQ(ca.value().answers, cb.value().answers);
-  }
-}
-
-TEST(ClusterTest, CrossShardJoinsMatchTheSingleEngineAnswer) {
-  ClusterConfig config;
-  config.shards = 3;
-  config.engine = FastEngineConfig(128, /*update_workers=*/0);
-  Cluster cluster(config);
-  Engine single(FastEngineConfig(128, /*update_workers=*/0));
-
-  ASSERT_TRUE(cluster.CreateTable("fact", Fact(120, 8, 5)).ok());
-  ASSERT_TRUE(cluster.CreateTable("dim_a", Dim("dim_a", "id_a", 8)).ok());
-  ASSERT_TRUE(cluster.CreateTable("dim_b", Dim("dim_b", "id_b", 5)).ok());
-  ASSERT_TRUE(cluster.AttachModel("fact", FastSpnSpec()).ok());
-  ASSERT_TRUE(single.CreateTable("fact", Fact(120, 8, 5)).ok());
-  ASSERT_TRUE(single.CreateTable("dim_a", Dim("dim_a", "id_a", 8)).ok());
-  ASSERT_TRUE(single.CreateTable("dim_b", Dim("dim_b", "id_b", 5)).ok());
-  ASSERT_TRUE(single.AttachModel("fact", FastSpnSpec()).ok());
-
-  // The join must actually span shards for this test to mean anything.
-  std::set<int> owners{cluster.ShardOf("fact"), cluster.ShardOf("dim_a"),
-                       cluster.ShardOf("dim_b")};
-  EXPECT_GE(owners.size(), 2u) << "star schema landed on one shard";
-
   api::EstimateRequest request;
-  request.joins.Add(StarQuery(5.0));
-  request.joins.Add(StarQuery(8.0));
-  for (const char* combiner : {"join-uniformity", "fanout-scaling"}) {
-    request.combiner = combiner;
-    auto sharded = cluster.Estimate(request);
-    auto merged = single.Estimate(request);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(sharded.value().answers, merged.value().answers) << combiner;
+  request.kind = api::EstimateRequest::Kind::kAqp;
+  request.table = "t";
+  for (int i = 0; i < 4; ++i) {
+    request.queries.Add(AqpRangeQuery(5.0 + i * 9, 60.0 + i * 8));
   }
-
-  // Typed plan errors survive the shard fan-out.
-  api::EstimateRequest bad;
-  workload::JoinQuery unknown;
-  unknown.joins = {Edge("fact", "fk_a", "nope", "id")};
-  bad.joins.Add(unknown);
-  auto err = cluster.Estimate(bad);
-  ASSERT_FALSE(err.ok());
-  EXPECT_EQ(api::PlanErrorFromStatus(err.status()),
-            api::PlanError::kUnknownTable);
-}
-
-TEST(ClusterTest, SurfaceRoutesAndAggregatesAcrossShards) {
-  ClusterConfig config;
-  config.shards = 3;
-  config.engine = FastEngineConfig(100, /*update_workers=*/1);
-  config.engine.max_backlog_batches = 2;
-  config.engine.admission_policy = "coalesce";
-  Cluster cluster(config);
-
-  std::vector<std::string> names = {"alpha", "beta", "gamma", "delta"};
-  for (size_t i = 0; i < names.size(); ++i) {
-    TableOptions options;
-    options.update_priority = static_cast<int>(i);
-    ASSERT_TRUE(cluster
-                    .CreateTable(names[i],
-                                 MakeConditional(25, 75, 200, 60 + i),
-                                 options)
-                    .ok());
-    ASSERT_TRUE(cluster.AttachModel(names[i], FastMdnSpec()).ok());
-    EXPECT_TRUE(cluster.HasTable(names[i]));
-  }
-  EXPECT_FALSE(cluster.HasTable("epsilon"));
-  EXPECT_EQ(cluster.TableNames(),
-            (std::vector<std::string>{"alpha", "beta", "delta", "gamma"}));
-
-  for (size_t i = 0; i < names.size(); ++i) {
-    ASSERT_TRUE(
-        cluster.Ingest(names[i], MakeConditional(70, 30, 150, 70 + i)).ok());
-  }
-  cluster.Quiesce();  // barrier only: remainders stay buffered
-  auto sweep = cluster.FlushAll();
-  ASSERT_TRUE(sweep.ok());
-  EXPECT_EQ(sweep.value().tables_flushed, 4);
-  EXPECT_EQ(sweep.value().rows_flushed, 4 * 150);
-  for (size_t i = 0; i < names.size(); ++i) {
-    auto report = cluster.Report(names[i]);
-    ASSERT_TRUE(report.ok());
-    EXPECT_EQ(report.value().rows, 350);
-    EXPECT_EQ(report.value().update_priority, static_cast<int>(i));
-  }
-}
-
-TEST(ClusterTest, SaveQuiescesAllShardsAndRoundTrips) {
-  const std::string path = TempPath("serving_test_cluster.ckpt");
-  ClusterConfig config;
-  config.shards = 3;
-  config.engine = FastEngineConfig(100, /*update_workers=*/1);
-  std::vector<std::string> names = {"orders", "customers", "parts"};
-  {
-    Cluster cluster(config);
-    for (size_t i = 0; i < names.size(); ++i) {
-      TableOptions options;
-      options.update_priority = static_cast<int>(i) + 1;
-      ASSERT_TRUE(cluster
-                      .CreateTable(names[i],
-                                   MakeConditional(25, 75, 200, 80 + i),
-                                   options)
-                      .ok());
-      ASSERT_TRUE(cluster.AttachModel(names[i], FastMdnSpec()).ok());
-      // Save with updates still queued: the cluster-level quiesce must land
-      // every one of them in the checkpoint.
-      ASSERT_TRUE(
-          cluster.Ingest(names[i], MakeConditional(70, 30, 100, 90 + i))
-              .ok());
-    }
-    ASSERT_TRUE(cluster.Save(path).ok());
-
-    ClusterConfig load_config;
-    load_config.engine = config.engine;
-    auto loaded = Cluster::Load(path, load_config);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    Cluster& restored = *loaded.value();
-    EXPECT_EQ(restored.num_shards(), 3);
-    EXPECT_EQ(restored.TableNames(), cluster.TableNames());
-    for (const std::string& name : names) {
-      // Placement (manifest ring parameters) and per-table priority
-      // (engine manifest v3) both survive the round trip.
-      EXPECT_EQ(restored.ShardOf(name), cluster.ShardOf(name));
-      auto a = restored.Report(name);
-      auto b = cluster.Report(name);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(a.value().rows, b.value().rows);
-      EXPECT_EQ(a.value().update_priority, b.value().update_priority);
-      for (int i = 0; i < 3; ++i) {
-        api::EstimateRequest request;
-        request.kind = api::EstimateRequest::Kind::kAqp;
-        request.table = name;
-        request.queries.Add(AqpRangeQuery(15.0 + i * 6, 70.0 + i * 4));
-        auto ea = restored.Estimate(request);
-        auto eb = cluster.Estimate(request);
-        ASSERT_TRUE(ea.ok() && eb.ok());
-        EXPECT_EQ(ea.value().answers, eb.value().answers);
-      }
-    }
-  }
-  std::remove(path.c_str());
-  for (int s = 0; s < 3; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
+  auto a = coalesced.Estimate(request);
+  auto b = unbatched.Estimate(request);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value().answers, b.value().answers);
 }
 
 // --- Stress (the TSan leg runs this under instrumentation) -----------------
 
-TEST(ServingStressTest, ConcurrentCrossShardJoinsAgainstSaturatedIngest) {
-  ClusterConfig config;
-  config.shards = 2;
-  config.engine = FastEngineConfig(120, /*update_workers=*/1);
-  config.engine.max_backlog_batches = 1;  // saturates constantly
-  config.engine.admission_policy = "shed";
-  Cluster cluster(config);
+TEST(ServingStressTest, ConcurrentJoinsAgainstSaturatedIngest) {
+  EngineConfig config = FastEngineConfig(120, /*update_workers=*/1);
+  config.max_backlog_batches = 1;  // saturates constantly
+  config.admission_policy = "shed";
+  Engine engine(config);
 
-  ASSERT_TRUE(cluster.CreateTable("fact", Fact(240, 8, 5)).ok());
-  ASSERT_TRUE(cluster.CreateTable("dim_a", Dim("dim_a", "id_a", 8)).ok());
-  ASSERT_TRUE(cluster.CreateTable("dim_b", Dim("dim_b", "id_b", 5)).ok());
-  ASSERT_TRUE(cluster.AttachModel("fact", FastSpnSpec()).ok());
+  ASSERT_TRUE(engine.CreateTable("fact", Fact(240, 8, 5)).ok());
+  ASSERT_TRUE(engine.CreateTable("dim_a", Dim("dim_a", "id_a", 8)).ok());
+  ASSERT_TRUE(engine.CreateTable("dim_b", Dim("dim_b", "id_b", 5)).ok());
+  ASSERT_TRUE(engine.AttachModel("fact", FastSpnSpec()).ok());
 
   std::atomic<bool> done{false};
   std::atomic<bool> failed{false};
@@ -620,7 +367,7 @@ TEST(ServingStressTest, ConcurrentCrossShardJoinsAgainstSaturatedIngest) {
   // expected and retried, anything else is a real failure.
   std::thread producer([&] {
     for (int i = 0; i < 24; ++i) {
-      auto result = cluster.Ingest("fact", Fact(120, 8, 5));
+      auto result = engine.Ingest("fact", Fact(120, 8, 5));
       if (!result.ok()) {
         if (IsAdmissionShed(result.status())) {
           sheds.fetch_add(1);
@@ -631,7 +378,9 @@ TEST(ServingStressTest, ConcurrentCrossShardJoinsAgainstSaturatedIngest) {
     }
     done.store(true, std::memory_order_release);
   });
-  // Readers: cross-shard joins and reports against the saturated ingest.
+  // Readers: join estimates and reports against the saturated ingest, each
+  // join reading the fact table's published snapshot while the update
+  // worker republishes it.
   // Each runs a floor of 20 iterations (so joins always overlap SOME
   // engine state churn even if the producer finishes first) and then keeps
   // going until the producer is done.
@@ -641,14 +390,14 @@ TEST(ServingStressTest, ConcurrentCrossShardJoinsAgainstSaturatedIngest) {
       api::EstimateRequest request;
       request.joins.Add(StarQuery(5.0 + r));
       for (int i = 0; i < 20 || !done.load(std::memory_order_acquire); ++i) {
-        auto response = cluster.Estimate(request);
+        auto response = engine.Estimate(request);
         if (!response.ok() || response.value().answers.size() != 1 ||
             !std::isfinite(response.value().answers[0])) {
           failed.store(true);
         } else {
           joins_served.fetch_add(1);
         }
-        auto report = cluster.Report("fact");
+        auto report = engine.Report("fact");
         if (!report.ok()) failed.store(true);
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
@@ -657,10 +406,10 @@ TEST(ServingStressTest, ConcurrentCrossShardJoinsAgainstSaturatedIngest) {
   producer.join();
   for (auto& t : readers) t.join();
 
-  ASSERT_TRUE(cluster.FlushAll().ok());
+  ASSERT_TRUE(engine.FlushAll().ok());
   EXPECT_FALSE(failed.load());
   EXPECT_GT(joins_served.load(), 0);
-  auto report = cluster.Report("fact");
+  auto report = engine.Report("fact");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().sheds, sheds.load());
   EXPECT_EQ(report.value().backlog_batches, 0);
