@@ -58,13 +58,6 @@ else
   echo "bench_smoke: bench_engine_throughput not built, skipping"
 fi
 
-# Codec frontier smoke: every registered checkpoint codec against real
-# data-plane payloads (checkpoint sections harvested from an actual engine
-# Save, serialized batches, raw column bytes). Verifies every round trip
-# bit-exactly and writes BENCH_codec_frontier.json (ratio + MB/s per cell);
-# the committed full-size run lives in results/.
-"${BUILD_DIR}/bench/bench_codec_frontier"
-
 # Drift grid smoke: every detector in the zoo against every named drift
 # scenario, scored on FPR / FNR / detection delay; writes
 # BENCH_drift_grid.json (bit-identical for a fixed seed).

@@ -15,11 +15,11 @@ namespace ddup::api {
 
 namespace {
 
-// Version 2 added the per-table resolved detector kind to the manifest;
-// version 3 added the per-table update-worker priority; version 4 adds the
-// checkpoint codec name after the version word (Load still reads v3).
-constexpr uint32_t kManifestVersion = 4;
-constexpr uint32_t kMinManifestVersion = 3;
+// Load reads exactly this version. Version 2 added the per-table resolved
+// detector kind, version 3 the per-table update-worker priority, version 4
+// a codec name after the version word, and version 5 dropped that name
+// again (every section uses io::kDefaultCheckpointCodec).
+constexpr uint32_t kManifestVersion = 5;
 constexpr const char* kManifestSection = "engine";
 
 std::string JoinedNames(const std::vector<std::string>& names) {
@@ -41,6 +41,33 @@ std::string JoinedDetectorKinds() {
 std::string ModelSection(const std::string& table) { return "model:" + table; }
 std::string ControllerSection(const std::string& table) {
   return "controller:" + table;
+}
+
+// CreateTable's contract for a new table: a name usable as a checkpoint
+// section suffix and a base with at least one column and finite values.
+// Load holds every restored table to it as well.
+Status CheckNewTable(const std::string& name, const storage::Table& base) {
+  if (name.empty()) {
+    return Status::InvalidArgument("table name must be non-empty");
+  }
+  if (name.find(':') != std::string::npos) {
+    // ':' separates the checkpoint section namespace ("model:<table>");
+    // reject it here so an engine never becomes un-checkpointable later.
+    return Status::InvalidArgument("table name '" + name +
+                                   "' must not contain ':'");
+  }
+  if (base.num_columns() == 0) {
+    return Status::InvalidArgument("table '" + name +
+                                   "' needs at least one column");
+  }
+  return storage::CheckFinite(base);
+}
+
+// Rows [begin, end) of `t`, preserving order.
+storage::Table Slice(const storage::Table& t, int64_t begin, int64_t end) {
+  std::vector<int64_t> rows(static_cast<size_t>(end - begin));
+  std::iota(rows.begin(), rows.end(), begin);
+  return t.TakeRows(rows);
 }
 
 int ResolveUpdateWorkers(int requested) {
@@ -117,20 +144,7 @@ StatusOr<std::shared_ptr<Engine::TableState>> Engine::FindTable(
 Status Engine::CreateTable(const std::string& name,
                            const storage::Table& base_data,
                            const TableOptions& options) {
-  if (name.empty()) {
-    return Status::InvalidArgument("table name must be non-empty");
-  }
-  if (name.find(':') != std::string::npos) {
-    // ':' separates the checkpoint section namespace ("model:<table>");
-    // reject it here so an engine never becomes un-checkpointable later.
-    return Status::InvalidArgument("table name '" + name +
-                                   "' must not contain ':'");
-  }
-  if (base_data.num_columns() == 0) {
-    return Status::InvalidArgument("table '" + name +
-                                   "' needs at least one column");
-  }
-  DDUP_RETURN_IF_ERROR(storage::CheckFinite(base_data));
+  DDUP_RETURN_IF_ERROR(CheckNewTable(name, base_data));
   if (options.micro_batch_rows < 0) {
     return Status::InvalidArgument("micro_batch_rows must be >= 0");
   }
@@ -152,8 +166,7 @@ Status Engine::CreateTable(const std::string& name,
                              : options.detector;
   state->base = base_data;
   state->base.set_name(name);
-  state->pending.Reset(state->base, state->micro_batch_rows,
-                       config_.packed_accumulator);
+  state->pending = state->base.TakeRows({});  // zero rows, same schema
   // Stats cover the base rows from the start; later batches fold in when
   // they leave the accumulator (DrainInline/EnqueueBatchesLocked).
   state->stats_builder = storage::TableStatsBuilder(state->base);
@@ -255,7 +268,7 @@ Status Engine::DrainInline(TableState* state, bool all, IngestResult* result) {
   Status status;
   while (status.ok() && total - offset >= state->micro_batch_rows) {
     storage::Table batch =
-        state->pending.Slice(offset, offset + state->micro_batch_rows);
+        Slice(state->pending, offset, offset + state->micro_batch_rows);
     status = PushBatch(state, batch, result);
     if (status.ok()) {
       state->stats_builder.Absorb(batch);
@@ -263,7 +276,7 @@ Status Engine::DrainInline(TableState* state, bool all, IngestResult* result) {
     }
   }
   if (status.ok() && all && offset < total) {
-    storage::Table batch = state->pending.Slice(offset, total);
+    storage::Table batch = Slice(state->pending, offset, total);
     status = PushBatch(state, batch, result);
     if (status.ok()) {
       state->stats_builder.Absorb(batch);
@@ -271,7 +284,7 @@ Status Engine::DrainInline(TableState* state, bool all, IngestResult* result) {
     }
   }
   if (offset > 0) {
-    state->pending.DropFront(offset);
+    state->pending = Slice(state->pending, offset, total);
     // Stats fold only for batches the loop actually consumed: on an error
     // the unconsumed suffix stays buffered and stays out of the stats,
     // keeping the snapshot aligned with what the model serves.
@@ -366,7 +379,7 @@ void Engine::SubmitGroupLocked(const std::shared_ptr<TableState>& state,
   group.reserve(static_cast<size_t>(batches) + (remainder ? 1 : 0));
   for (int64_t b = 0; b < batches; ++b) {
     storage::Table batch =
-        state->pending.Slice(offset, offset + state->micro_batch_rows);
+        Slice(state->pending, offset, offset + state->micro_batch_rows);
     offset += state->micro_batch_rows;
     // Async stats fold at enqueue time: the rows leave the accumulator for
     // the strand unconditionally, so the snapshot tracks the handed-off
@@ -378,14 +391,14 @@ void Engine::SubmitGroupLocked(const std::shared_ptr<TableState>& state,
     group.push_back(std::move(batch));
   }
   if (remainder && offset < total) {
-    storage::Table batch = state->pending.Slice(offset, total);
+    storage::Table batch = Slice(state->pending, offset, total);
     offset = total;
     state->stats_builder.Absorb(batch);
     result->rows_enqueued += batch.num_rows();
     group.push_back(std::move(batch));
   }
   if (group.empty()) return;
-  state->pending.DropFront(offset);
+  state->pending = Slice(state->pending, offset, total);
   std::atomic_store(&state->stats, state->stats_builder.Snapshot());
   if (group.size() > 1) {
     std::lock_guard<std::mutex> lock(state->stats_mu);
@@ -733,7 +746,10 @@ StatusOr<TableReport> Engine::Report(const std::string& name) const {
     report.model_kind = state->spec.kind;
     report.detector_kind = state->detector_kind;
     report.buffered_rows = state->pending.num_rows();
-    report.buffered_bytes = state->pending.buffered_bytes();
+    for (int i = 0; i < state->pending.num_columns(); ++i) {
+      const int64_t width = state->pending.column(i).is_numeric() ? 8 : 4;
+      report.buffered_bytes += width * report.buffered_rows;
+    }
     report.micro_batch_rows = state->micro_batch_rows;
     if (state->controller != nullptr) {
       // stats() is the controller's thread-safe read surface; the live
@@ -823,7 +839,7 @@ Engine::TableCheckpoint Engine::CheckpointTable(const TableState& state) {
     manifest.WriteDouble(state.detect_seconds);
     manifest.WriteDouble(state.update_seconds);
     manifest.WriteTable(state.base);
-    manifest.WriteTable(state.pending.Materialize());
+    manifest.WriteTable(state.pending);
     manifest.WriteBool(state.model != nullptr);
     out.has_model = state.model != nullptr;
     if (out.has_model) {
@@ -873,23 +889,9 @@ Status Engine::Save(const std::string& path) const {
     }
   }
 
-  // Codec precedence: the caller's config wins, then the codec recorded in
-  // the manifest this engine was loaded from, then the compressed default.
-  std::string codec_name = config_.checkpoint.codec.empty()
-                               ? loaded_codec_
-                               : config_.checkpoint.codec;
-  if (codec_name.empty()) codec_name = io::kDefaultCheckpointCodec;
-  const io::Codec* codec = io::FindCodecByName(codec_name);
-  if (codec == nullptr) {
-    return Status::InvalidArgument(
-        "unknown checkpoint codec '" + codec_name + "'; registered codecs: " +
-        JoinedNames(io::RegisteredCodecNames()));
-  }
-
-  io::CheckpointWriter writer(codec);
+  io::CheckpointWriter writer;
   io::Serializer manifest;
   manifest.WriteU32(kManifestVersion);
-  manifest.WriteString(codec_name);
   manifest.WriteU32(static_cast<uint32_t>(states.size()));
   for (size_t i = 0; i < states.size(); ++i) {
     DDUP_RETURN_IF_ERROR(blobs[i].status);
@@ -913,16 +915,13 @@ StatusOr<std::unique_ptr<Engine>> Engine::Load(const std::string& path,
   if (!payload.ok()) return payload.status();
   io::Deserializer manifest(std::move(payload).value());
   uint32_t version = manifest.ReadU32();
-  if (manifest.ok() &&
-      (version < kMinManifestVersion || version > kManifestVersion)) {
-    return Status::InvalidArgument("unsupported engine manifest version " +
-                                   std::to_string(version));
+  if (manifest.ok() && version != kManifestVersion) {
+    return Status::InvalidArgument(
+        "unsupported engine manifest version " + std::to_string(version) +
+        " (expected " + std::to_string(kManifestVersion) + ")");
   }
 
   auto engine = std::make_unique<Engine>(std::move(config));
-  // v4 records the codec the checkpoint was written with; a later Save
-  // keeps it unless the loading config names a different one.
-  if (version >= 4) engine->loaded_codec_ = manifest.ReadString();
   uint32_t num_tables = manifest.ReadU32();
   for (uint32_t i = 0; i < num_tables && manifest.ok(); ++i) {
     auto state = std::make_shared<TableState>();
@@ -950,9 +949,21 @@ StatusOr<std::unique_ptr<Engine>> Engine::Load(const std::string& path,
       return Status::InvalidArgument("manifest for table '" + state->name +
                                      "' has a non-positive micro-batch size");
     }
-    state->pending.Reset(state->base, state->micro_batch_rows,
-                         engine->config_.packed_accumulator);
-    state->pending.Append(pending);
+    // Hold the restored table to what CreateTable and Ingest enforce: the
+    // buffered rows reach HandleInsertion on the next flush unchecked.
+    Status valid = CheckNewTable(state->name, state->base);
+    if (valid.ok()) {
+      valid = storage::CheckSchemaCompatible(state->base, pending);
+    }
+    if (valid.ok()) valid = storage::CheckFinite(pending);
+    if (valid.ok() && engine->HasTable(state->name)) {
+      valid = Status::InvalidArgument("duplicate table name");
+    }
+    if (!valid.ok()) {
+      return Status::InvalidArgument("manifest for table '" + state->name +
+                                     "': " + valid.message());
+    }
+    state->pending = std::move(pending);
     if (has_model) {
       StatusOr<std::string> model_payload =
           reader.value().Section(ModelSection(state->name));

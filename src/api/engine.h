@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/controller.h"
-#include "storage/packed.h"
 #include "storage/stats.h"
 #include "storage/table.h"
 #include "workload/join_query.h"
@@ -28,18 +27,6 @@ class AdmissionPolicy;
 namespace ddup::api {
 
 class QueryRouter;
-
-// Checkpoint-writing knobs (Engine::Save).
-struct CheckpointOptions {
-  // Section codec, by registered name (io::RegisteredCodecNames(): "raw",
-  // "lz", "shuffle", "delta"). "" uses the compressed default
-  // (io::kDefaultCheckpointCodec). The choice is recorded in the engine
-  // manifest, so a later Save through Engine::Load + Save keeps the codec
-  // unless the loading config names a different one; Load itself reads any
-  // registered codec regardless of this setting. An unknown name is an
-  // InvalidArgument at Save time.
-  std::string codec;
-};
 
 // Engine-wide defaults. The controller config (detector + update policies)
 // applies to every attached model; micro_batch_rows is the default flush
@@ -73,16 +60,6 @@ struct EngineConfig {
   // first bounded Ingest.
   int64_t max_backlog_batches = 0;
   std::string admission_policy = "block";
-  // Buffer accumulated rows in the packed columnar form
-  // (storage::MicroBatchBuffer): sealed micro-batch chunks are held as
-  // delta/varint- or shuffle-encoded column buffers instead of plain
-  // doubles/codes, shrinking the per-table buffered footprint
-  // (TableReport::buffered_bytes). Drain order and model bytes are
-  // identical either way — pinned by tests/packed_test.cc — so false is
-  // only a debugging escape hatch, not a compatibility knob.
-  bool packed_accumulator = true;
-  // How Engine::Save writes checkpoint containers.
-  CheckpointOptions checkpoint;
 };
 
 struct TableOptions {
@@ -161,8 +138,8 @@ struct TableReport {
   // Rows the model has absorbed / rows awaiting a flush.
   int64_t rows = 0;
   int64_t buffered_rows = 0;
-  // Bytes the accumulator currently holds for those buffered rows — the
-  // packed (EngineConfig::packed_accumulator) vs plain footprint metric.
+  // Bytes the accumulator holds for those buffered rows: 8 per numeric
+  // value and 4 per categorical code.
   int64_t buffered_bytes = 0;
   // Flush threshold.
   int64_t micro_batch_rows = 0;
@@ -352,6 +329,10 @@ class Engine {
   // DdupController::Resume contract), the micro-batch default for tables
   // created after the restore, and the update-worker count (a restored
   // engine may run sync or async regardless of how the saved one ran).
+  // Only the current manifest version loads. Each restored table must pass
+  // CreateTable's name and base-table checks, its buffered rows must pass
+  // Ingest's schema and finiteness checks, and no name may repeat; a
+  // violation is an InvalidArgument naming the table.
   static StatusOr<std::unique_ptr<Engine>> Load(const std::string& path,
                                                 EngineConfig config = {});
 
@@ -378,10 +359,8 @@ class Engine {
     // (sync), which serializes them without a lock.
     mutable std::mutex mu;
     storage::Table base;  // schema contract; rows only until AttachModel
-    // Micro-batch accumulator (base schema): packed columnar buffers when
-    // EngineConfig::packed_accumulator, plain rows otherwise. Drained
-    // front-to-back in both modes with identical bytes.
-    storage::MicroBatchBuffer pending;
+    // Micro-batch accumulator (base schema), drained front to back.
+    storage::Table pending;
     std::unique_ptr<core::UpdatableModel> model;
     std::unique_ptr<core::DdupController> controller;
     bool draining = false;
@@ -537,9 +516,6 @@ class Engine {
   bool NothingToFlushLocked(const TableState& state) const;
 
   EngineConfig config_;
-  // Codec name recorded in the manifest this engine was loaded from ("" for
-  // a fresh engine); Save re-uses it when config_.checkpoint.codec is empty.
-  std::string loaded_codec_;
   // Resolved once from config_.admission_policy; nullptr for an unknown
   // name (surfaced as InvalidArgument on the first bounded Ingest).
   const serving::AdmissionPolicy* admission_ = nullptr;

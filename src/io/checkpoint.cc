@@ -70,10 +70,6 @@ bool ReadNameAt(std::string_view d, size_t* pos, std::string* name) {
 
 }  // namespace
 
-CheckpointWriter::CheckpointWriter(const Codec* codec)
-    : codec_(codec != nullptr ? codec
-                              : FindCodecByName(kDefaultCheckpointCodec)) {}
-
 void CheckpointWriter::AddSection(std::string name, std::string payload) {
   sections_.emplace_back(std::move(name), std::move(payload));
 }
@@ -83,19 +79,17 @@ std::string CheckpointWriter::Encode() const {
   out.WriteU64(kCheckpointMagic);
   out.WriteU32(kCheckpointFormatVersion);
   out.WriteU32(static_cast<uint32_t>(sections_.size()));
+  const Codec* codec = FindCodecByName(kDefaultCheckpointCodec);
   std::string encoded;
   for (const auto& [name, payload] : sections_) {
-    const Codec* used = codec_;
-    if (used->id() != kCodecRaw) {
-      encoded.clear();
-      used->Compress(payload, &encoded);
-      // Store incompressible sections raw: ratio never drops below 1 and
-      // the section stays zero-copy on the mmap read path.
-      if (encoded.size() >= payload.size()) used = FindCodec(kCodecRaw);
-    }
-    const std::string& stored = used->id() == kCodecRaw ? payload : encoded;
+    encoded.clear();
+    codec->Compress(payload, &encoded);
+    // Store incompressible sections raw: ratio never drops below 1 and the
+    // section stays zero-copy on the mmap read path.
+    const bool raw = encoded.size() >= payload.size();
+    const std::string& stored = raw ? payload : encoded;
     out.WriteString(name);
-    out.WriteU8(used->id());
+    out.WriteU8(raw ? uint8_t{kCodecRaw} : codec->id());
     out.WriteU64(payload.size());
     out.WriteU64(stored.size());
     out.WriteU32(Crc32(stored));
@@ -121,6 +115,12 @@ Status CheckpointWriter::WriteToFile(const std::string& path) const {
       std::remove(tmp.c_str());
       return Status::IoError("flush failed: " + tmp);
     }
+    // Close explicitly: an error reported at close time must not let the
+    // rename replace the last good checkpoint with this file.
+    if (std::fclose(f.release()) != 0) {
+      std::remove(tmp.c_str());
+      return Status::IoError("close failed: " + tmp);
+    }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
@@ -141,12 +141,11 @@ StatusOr<CheckpointReader> CheckpointReader::Parse(CheckpointReader reader,
   if (!ReadU32At(image, &pos, &version)) {
     return Status::InvalidArgument("bad checkpoint magic");
   }
-  if (version != 1 && version != kCheckpointFormatVersion) {
+  if (version != kCheckpointFormatVersion) {
     return Status::InvalidArgument(
         "unsupported checkpoint format version " + std::to_string(version) +
         " (expected " + std::to_string(kCheckpointFormatVersion) + ")");
   }
-  reader.format_version_ = version;
   uint32_t count = 0;
   if (!ReadU32At(image, &pos, &count)) {
     return Status::InvalidArgument("truncated checkpoint section");
@@ -158,30 +157,21 @@ StatusOr<CheckpointReader> CheckpointReader::Parse(CheckpointReader reader,
     if (!ReadNameAt(image, &pos, &entry.name)) {
       return Status::InvalidArgument("truncated checkpoint section");
     }
-    if (version >= 2) {
-      if (!ReadU8At(image, &pos, &entry.codec) ||
-          !ReadU64At(image, &pos, &entry.uncompressed_bytes) ||
-          !ReadU64At(image, &pos, &entry.stored_bytes) ||
-          !ReadU32At(image, &pos, &entry.crc)) {
-        return Status::InvalidArgument("truncated checkpoint section");
-      }
-      if (FindCodec(entry.codec) == nullptr) {
-        return Status::InvalidArgument(
-            "unknown checkpoint codec id " + std::to_string(entry.codec) +
-            " in section: " + entry.name);
-      }
-      if (entry.codec == kCodecRaw &&
-          entry.stored_bytes != entry.uncompressed_bytes) {
-        return Status::InvalidArgument(
-            "raw checkpoint section length mismatch: " + entry.name);
-      }
-    } else {
-      if (!ReadU64At(image, &pos, &entry.stored_bytes) ||
-          !ReadU32At(image, &pos, &entry.crc)) {
-        return Status::InvalidArgument("truncated checkpoint section");
-      }
-      entry.codec = kCodecRaw;
-      entry.uncompressed_bytes = entry.stored_bytes;
+    if (!ReadU8At(image, &pos, &entry.codec) ||
+        !ReadU64At(image, &pos, &entry.uncompressed_bytes) ||
+        !ReadU64At(image, &pos, &entry.stored_bytes) ||
+        !ReadU32At(image, &pos, &entry.crc)) {
+      return Status::InvalidArgument("truncated checkpoint section");
+    }
+    if (FindCodec(entry.codec) == nullptr) {
+      return Status::InvalidArgument(
+          "unknown checkpoint codec id " + std::to_string(entry.codec) +
+          " in section: " + entry.name);
+    }
+    if (entry.codec == kCodecRaw &&
+        entry.stored_bytes != entry.uncompressed_bytes) {
+      return Status::InvalidArgument(
+          "raw checkpoint section length mismatch: " + entry.name);
     }
     if (entry.stored_bytes > image.size() - pos) {
       return Status::InvalidArgument("truncated checkpoint section");
@@ -310,8 +300,8 @@ std::vector<CheckpointReader::SectionInfo> CheckpointReader::Sections() const {
 }
 
 Status WriteSectionFile(const std::string& path, const std::string& kind,
-                        std::string payload, const Codec* codec) {
-  CheckpointWriter writer(codec);
+                        std::string payload) {
+  CheckpointWriter writer;
   writer.AddSection(kind, std::move(payload));
   return writer.WriteToFile(path);
 }

@@ -17,20 +17,15 @@ namespace ddup::io {
 // little-endian:
 //
 //   u64  magic      "DDUPCKP1"
-//   u32  format version
+//   u32  format version (2; the only version readers accept)
 //   u32  section count
-//   per section (format version 2, the current writer):
+//   per section:
 //     string  name      (u64 length + bytes)
 //     u8      codec id             (io/codec.h; 0 = raw)
 //     u64     uncompressed length
 //     u64     stored length        (encoded payload bytes that follow)
 //     u32     CRC-32 of the STORED bytes
 //     bytes   stored payload
-//   per section (format version 1, still readable bit-identically):
-//     string  name
-//     u64     payload length
-//     u32     CRC-32 of the payload bytes
-//     bytes   payload
 //
 // Sections are opaque byte strings produced by io::Serializer; each model
 // family owns its payload schema and versions it independently with a
@@ -44,29 +39,28 @@ inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
 class CheckpointWriter {
  public:
-  // `codec` encodes every section (nullptr = the default compressed codec,
-  // kDefaultCheckpointCodec). A section whose encoding is not smaller than
-  // the payload is stored raw instead — ratio never drops below 1 and raw
-  // sections stay zero-copy on the mmap read path.
-  explicit CheckpointWriter(const Codec* codec = nullptr);
-
   void AddSection(std::string name, std::string payload);
 
-  // The full container image (format version 2).
+  // The full container image. Every section is encoded with
+  // kDefaultCheckpointCodec; a section whose encoding is not smaller than
+  // the payload is stored raw instead — ratio never drops below 1 and raw
+  // sections stay zero-copy on the mmap read path.
   std::string Encode() const;
   // Writes Encode() to `path` via a same-directory temp file + rename, so a
-  // concurrent reader never observes a half-written checkpoint.
+  // concurrent reader never observes a half-written checkpoint. IoError if
+  // the temp file cannot be opened, written, flushed or closed, or the
+  // rename fails; the temp file is removed and an existing file at `path`
+  // is left untouched in every such case.
   Status WriteToFile(const std::string& path) const;
 
  private:
-  const Codec* codec_;
   std::vector<std::pair<std::string, std::string>> sections_;
 };
 
 class CheckpointReader {
  public:
   // Per-section metadata; uncompressed_bytes == stored_bytes for raw
-  // sections (and every v1 section).
+  // sections.
   struct SectionInfo {
     std::string name;
     uint8_t codec = kCodecRaw;
@@ -104,7 +98,6 @@ class CheckpointReader {
   std::vector<SectionInfo> Sections() const;
 
   int num_sections() const { return static_cast<int>(sections_.size()); }
-  uint32_t format_version() const { return format_version_; }
   // The raw container image this reader serves views from (tests use it to
   // pin the zero-copy property).
   std::string_view image() const;
@@ -132,7 +125,6 @@ class CheckpointReader {
   // payload view.
   StatusOr<std::string_view> Payload(const Entry& entry) const;
 
-  uint32_t format_version_ = kCheckpointFormatVersion;
   // Exactly one of the two backs the image: an owned buffer or a mapping.
   std::string owned_image_;
   MappedFile mapped_;
@@ -143,9 +135,8 @@ class CheckpointReader {
 // Single-section conveniences used by the model Save/Load paths: the section
 // name doubles as the model-kind tag, so loading a checkpoint of the wrong
 // family fails with a clear error instead of misinterpreting bytes.
-// `codec` follows the CheckpointWriter default (nullptr = compressed).
 Status WriteSectionFile(const std::string& path, const std::string& kind,
-                        std::string payload, const Codec* codec = nullptr);
+                        std::string payload);
 StatusOr<std::string> ReadSectionFile(const std::string& path,
                                       const std::string& kind);
 

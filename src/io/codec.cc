@@ -5,28 +5,6 @@
 
 namespace ddup::io {
 
-void PutVarint64(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-bool GetVarint64(std::string_view in, size_t* pos, uint64_t* v) {
-  uint64_t result = 0;
-  for (int shift = 0; shift < 70; shift += 7) {
-    if (*pos >= in.size()) return false;
-    uint8_t byte = static_cast<uint8_t>(in[(*pos)++]);
-    result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return true;
-    }
-  }
-  return false;  // over-long encoding (> 10 bytes)
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -51,7 +29,8 @@ class RawCodec final : public Codec {
 };
 
 // ---------------------------------------------------------------------------
-// lz: LZ4-block-style greedy byte matching. Sequences of
+// LZ block format: LZ4-block-style greedy byte matching, the second stage
+// of `shuffle`. Sequences of
 //   [token: high nibble = literal length, low nibble = match length - 4]
 //   [length extensions as 255-runs] [literals] [u16 LE offset] [extensions]
 // with nibble value 15 meaning "extended". The final sequence carries
@@ -186,24 +165,11 @@ Status LzDecompress(std::string_view in, size_t out_size, std::string* out) {
   return Status::OK();
 }
 
-class LzCodec final : public Codec {
- public:
-  uint8_t id() const override { return kCodecLz; }
-  const char* name() const override { return "lz"; }
-  void Compress(std::string_view input, std::string* out) const override {
-    LzCompress(input, out);
-  }
-  Status Decompress(std::string_view input, size_t uncompressed_size,
-                    std::string* out) const override {
-    return LzDecompress(input, uncompressed_size, out);
-  }
-};
-
 // ---------------------------------------------------------------------------
-// shuffle: 8-byte-plane transpose, then lz. Doubles from one column share
-// exponent/high-mantissa bytes; grouping byte plane k of every lane makes
-// those runs contiguous, which the byte-matcher then collapses. The n % 8
-// tail is carried through untransposed.
+// shuffle: 8-byte-plane transpose, then the LZ block matcher. Doubles from
+// one column share exponent/high-mantissa bytes; grouping byte plane k of
+// every lane makes those runs contiguous, which the byte-matcher then
+// collapses. The n % 8 tail is carried through untransposed.
 // ---------------------------------------------------------------------------
 
 void ShuffleBytes(std::string_view in, std::string* out) {
@@ -246,73 +212,9 @@ class ShuffleCodec final : public Codec {
   }
 };
 
-// ---------------------------------------------------------------------------
-// delta: little-endian u64 lanes, consecutive-lane deltas, zigzag + varint.
-// Built for integer-ish lane streams (dictionary codes widened to u64,
-// monotone ids, counters) where deltas are small; on such data a lane costs
-// one or two bytes instead of eight. Arbitrary input stays lossless — a
-// high-entropy lane just costs up to 10 varint bytes — and the n % 8 tail
-// is stored raw.
-// ---------------------------------------------------------------------------
-
-class DeltaCodec final : public Codec {
- public:
-  uint8_t id() const override { return kCodecDelta; }
-  const char* name() const override { return "delta"; }
-
-  void Compress(std::string_view input, std::string* out) const override {
-    out->clear();
-    const size_t lanes = input.size() / 8;
-    uint64_t prev = 0;
-    for (size_t i = 0; i < lanes; ++i) {
-      uint64_t v = 0;
-      std::memcpy(&v, input.data() + i * 8, 8);
-      PutVarint64(ZigZagEncode(static_cast<int64_t>(v - prev)), out);
-      prev = v;
-    }
-    out->append(input.data() + lanes * 8, input.size() - lanes * 8);
-  }
-
-  Status Decompress(std::string_view input, size_t uncompressed_size,
-                    std::string* out) const override {
-    out->clear();
-    out->reserve(uncompressed_size);
-    const size_t lanes = uncompressed_size / 8;
-    const size_t tail = uncompressed_size - lanes * 8;
-    size_t pos = 0;
-    uint64_t prev = 0;
-    for (size_t i = 0; i < lanes; ++i) {
-      uint64_t z = 0;
-      if (!GetVarint64(input, &pos, &z)) {
-        return Status::InvalidArgument("corrupt delta payload");
-      }
-      const uint64_t v = prev + static_cast<uint64_t>(ZigZagDecode(z));
-      char bytes[8];
-      std::memcpy(bytes, &v, 8);
-      out->append(bytes, 8);
-      prev = v;
-    }
-    if (input.size() - pos != tail) {
-      return Status::InvalidArgument(
-          "delta payload decodes to the wrong length");
-    }
-    out->append(input.data() + pos, tail);
-    return Status::OK();
-  }
-};
-
-// memcpy on little-endian hosts writes the on-disk layout directly; the
-// byte-level format is still defined as little-endian, matching the
-// Serializer contract. On a big-endian host DeltaCodec would need explicit
-// byte swaps — the same (theoretical) portability line the GEMM kernels and
-// CRC table already draw.
-static_assert(sizeof(double) == 8, "codecs assume 64-bit lanes");
-
 const RawCodec kRaw;
-const LzCodec kLz;
 const ShuffleCodec kShuffle;
-const DeltaCodec kDelta;
-const Codec* const kCodecs[] = {&kRaw, &kLz, &kShuffle, &kDelta};
+const Codec* const kCodecs[] = {&kRaw, &kShuffle};
 
 }  // namespace
 
@@ -328,12 +230,6 @@ const Codec* FindCodecByName(const std::string& name) {
     if (name == codec->name()) return codec;
   }
   return nullptr;
-}
-
-std::vector<std::string> RegisteredCodecNames() {
-  std::vector<std::string> names;
-  for (const Codec* codec : kCodecs) names.emplace_back(codec->name());
-  return names;
 }
 
 }  // namespace ddup::io

@@ -4,27 +4,25 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 
 namespace ddup::io {
 
-// Section compression codecs for the checkpoint container (DESIGN.md §16)
-// and the packed micro-batch accumulator (storage/packed.h). A codec maps an
-// arbitrary byte string to an encoded byte string and back, bit-exactly:
-// Decompress(Compress(x), x.size()) == x for EVERY input. Codecs carry no
-// per-stream state and no header of their own — the container records the
-// codec id and the uncompressed length next to each section, and the CRC is
-// computed over the ENCODED bytes so corruption is caught before any decode
-// logic runs on hostile data.
+// Section compression codecs for the checkpoint container (DESIGN.md §16).
+// A codec maps an arbitrary byte string to an encoded byte string and back,
+// bit-exactly: Decompress(Compress(x), x.size()) == x for EVERY input.
+// Codecs carry no per-stream state and no header of their own — the
+// container records the codec id and the uncompressed length next to each
+// section, and the CRC is computed over the ENCODED bytes so corruption is
+// caught before any decode logic runs on hostile data.
 //
-// Ids are part of the on-disk format: never renumber or reuse them.
+// Ids are part of the on-disk format: never renumber or reuse them. Ids 1
+// (`lz`) and 3 (`delta`) are retired; readers reject them as unknown, and
+// no future codec may take either number.
 enum CodecId : uint8_t {
   kCodecRaw = 0,      // passthrough
-  kCodecLz = 1,       // LZ4-block-style byte-match compression
-  kCodecShuffle = 2,  // 8-byte-plane transpose + lz (doubles / u64 streams)
-  kCodecDelta = 3,    // u64-lane delta + zigzag + varint (integer-ish lanes)
+  kCodecShuffle = 2,  // 8-byte-plane transpose + LZ4-block-style matching
 };
 
 class Codec {
@@ -44,32 +42,13 @@ class Codec {
                             std::string* out) const = 0;
 };
 
-// Registry of the built-in codecs. Lookups return nullptr for unknown
-// ids/names; the returned objects are process-lifetime singletons.
+// The built-in codecs (`raw`, `shuffle`). Lookups return nullptr for
+// unknown ids/names; the returned objects are process-lifetime singletons.
 const Codec* FindCodec(uint8_t id);
 const Codec* FindCodecByName(const std::string& name);
-std::vector<std::string> RegisteredCodecNames();  // registration order
 
-// The codec CheckpointWriter and Engine::Save use when the caller does not
-// pick one ("compressed by default").
-inline constexpr const char* kDefaultCheckpointCodec = "lz";
-
-// --- Encoding primitives (shared with storage/packed.cc) -------------------
-
-// LEB128 varint: 7 bits per byte, high bit = continuation (max 10 bytes).
-void PutVarint64(uint64_t v, std::string* out);
-// False on truncation or an over-long (>10 byte) encoding; advances *pos
-// past the varint on success.
-bool GetVarint64(std::string_view in, size_t* pos, uint64_t* v);
-
-// Zigzag maps small-magnitude signed values to small unsigned varints.
-inline uint64_t ZigZagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-inline int64_t ZigZagDecode(uint64_t v) {
-  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
+// The codec CheckpointWriter encodes every section with.
+inline constexpr const char* kDefaultCheckpointCodec = "shuffle";
 
 }  // namespace ddup::io
 

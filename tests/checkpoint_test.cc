@@ -4,6 +4,7 @@
 // continuation, and detector/controller snapshot resume.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -194,8 +195,8 @@ TEST(CheckpointContainerTest, KindMismatchRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Format version 2: per-section codecs, header tampering, v1 compatibility
-// and the mmap/buffered differential (DESIGN.md §16).
+// Format version 2: per-section codecs, header tampering, rejection of the
+// retired v1 layout and the mmap/buffered differential (DESIGN.md §16).
 // ---------------------------------------------------------------------------
 
 // v2 section header layout after the 16-byte container header:
@@ -249,11 +250,10 @@ TEST(CheckpointV2Test, CompressedSectionsRoundTripAndShrinkTheImage) {
 
   auto reader = io::CheckpointReader::FromBuffer(image);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader.value().format_version(), 2u);
   EXPECT_EQ(reader.value().Section("s").value(), payload);
   auto info = reader.value().Info("s");
   ASSERT_TRUE(info.ok());
-  EXPECT_NE(info.value().codec, io::kCodecRaw);
+  EXPECT_EQ(info.value().codec, io::kCodecShuffle);
   EXPECT_EQ(info.value().uncompressed_bytes, payload.size());
   EXPECT_LT(info.value().stored_bytes, info.value().uncompressed_bytes);
 }
@@ -261,13 +261,18 @@ TEST(CheckpointV2Test, CompressedSectionsRoundTripAndShrinkTheImage) {
 TEST(CheckpointV2Test, UnknownCodecIdRejected) {
   io::CheckpointWriter writer;
   writer.AddSection("s", CompressiblePayload());
-  std::string image = writer.Encode();
-  image[FirstCodecByteOffset("s")] = static_cast<char>(200);
-  auto reader = io::CheckpointReader::FromBuffer(image);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_NE(reader.status().message().find("unknown checkpoint codec id"),
-            std::string::npos)
-      << reader.status().ToString();
+  const std::string image = writer.Encode();
+  // 1 and 3 are the retired `lz` and `delta` ids.
+  for (uint8_t id : {1, 3, 200}) {
+    std::string tampered = image;
+    tampered[FirstCodecByteOffset("s")] = static_cast<char>(id);
+    auto reader = io::CheckpointReader::FromBuffer(tampered);
+    ASSERT_FALSE(reader.ok()) << "codec id " << int{id};
+    EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(reader.status().message().find("unknown checkpoint codec id"),
+              std::string::npos)
+        << reader.status().ToString();
+  }
 }
 
 TEST(CheckpointV2Test, CorruptedCompressedPayloadFailsCrcBeforeDecode) {
@@ -314,10 +319,10 @@ TEST(CheckpointV2Test, DecompressedLengthMismatchRejected) {
   EXPECT_NE(section.status().message().find("s"), std::string::npos);
 }
 
-TEST(CheckpointV2Test, HandCraftedV1ContainerStillLoadsBitIdentically) {
-  // A format-version-1 container built byte by byte from the documented
+TEST(CheckpointV2Test, HandCraftedV1ContainerIsRejected) {
+  // A format-version-1 container built byte by byte from the retired
   // layout: no codec byte, no uncompressed length, CRC over the payload
-  // itself. Readers must serve it unchanged forever.
+  // itself. Readers accept version 2 only.
   const std::string payload = IncompressiblePayload(257);
   io::Serializer v1;
   v1.WriteU64(io::kCheckpointMagic);
@@ -329,14 +334,12 @@ TEST(CheckpointV2Test, HandCraftedV1ContainerStillLoadsBitIdentically) {
   v1.WriteRaw(payload);
 
   auto reader = io::CheckpointReader::FromBuffer(v1.Take());
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ(reader.value().format_version(), 1u);
-  EXPECT_EQ(reader.value().Section("blob").value(), payload);
-  auto info = reader.value().Info("blob");
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info.value().codec, io::kCodecRaw);
-  EXPECT_EQ(info.value().stored_bytes, payload.size());
-  EXPECT_EQ(info.value().uncompressed_bytes, payload.size());
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = reader.status().message();
+  EXPECT_NE(message.find("unsupported checkpoint format version 1"),
+            std::string::npos)
+      << message;
 }
 
 TEST(CheckpointV2Test, MmapAndBufferedReadersAgreeByteForByte) {
@@ -356,7 +359,6 @@ TEST(CheckpointV2Test, MmapAndBufferedReadersAgreeByteForByte) {
   auto buffered = io::CheckpointReader::FromFileBuffered(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
-  EXPECT_EQ(mapped.value().format_version(), buffered.value().format_version());
   ASSERT_EQ(mapped.value().num_sections(), buffered.value().num_sections());
   for (const auto& info : mapped.value().Sections()) {
     EXPECT_EQ(mapped.value().Section(info.name).value(),
@@ -378,18 +380,11 @@ TEST(CheckpointV2Test, MmapAndBufferedReadersAgreeByteForByte) {
 
 TEST(CheckpointV2Test, WriteSectionFileCompressesByDefault) {
   const std::string payload = CompressiblePayload();
-  const std::string compressed_path = TempPath("section_default.ckpt");
-  const std::string raw_path = TempPath("section_raw.ckpt");
-  ASSERT_TRUE(io::WriteSectionFile(compressed_path, "kind", payload).ok());
-  ASSERT_TRUE(io::WriteSectionFile(raw_path, "kind", payload,
-                                   io::FindCodecByName("raw"))
-                  .ok());
-  EXPECT_LT(ReadFileRaw(compressed_path).size(), payload.size());
-  EXPECT_GT(ReadFileRaw(raw_path).size(), payload.size());
-  EXPECT_EQ(io::ReadSectionFile(compressed_path, "kind").value(), payload);
-  EXPECT_EQ(io::ReadSectionFile(raw_path, "kind").value(), payload);
-  std::remove(compressed_path.c_str());
-  std::remove(raw_path.c_str());
+  const std::string path = TempPath("section_default.ckpt");
+  ASSERT_TRUE(io::WriteSectionFile(path, "kind", payload).ok());
+  EXPECT_LT(ReadFileRaw(path).size(), payload.size());
+  EXPECT_EQ(io::ReadSectionFile(path, "kind").value(), payload);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointV2Test, SectionFileCrcErrorIsNotMaskedAsKindMismatch) {
@@ -404,6 +399,46 @@ TEST(CheckpointV2Test, SectionFileCrcErrorIsNotMaskedAsKindMismatch) {
       << result.status().ToString();
   EXPECT_EQ(result.status().message().find("kind mismatch"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// A failed write must leave the last good checkpoint in place and no temp
+// file behind. A directory where the writer expects a file makes the open
+// (at <path>.tmp) or the rename (over <path>) fail, with no I/O seam.
+TEST(CheckpointContainerTest, FailedOpenKeepsThePreviousCheckpoint) {
+  const std::string path = TempPath("failed_open.ckpt");
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  io::CheckpointWriter good;
+  good.AddSection("s", CompressiblePayload());
+  ASSERT_TRUE(good.WriteToFile(path).ok());
+  const std::string before = ReadFileRaw(path);
+
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  io::CheckpointWriter next;
+  next.AddSection("s", "a different payload");
+  const Status status = next.WriteToFile(path);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  EXPECT_TRUE(std::filesystem::is_empty(tmp)) << "stray temp file";
+  EXPECT_EQ(ReadFileRaw(path), before);
+  auto reader = io::CheckpointReader::FromFile(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader.value().Section("s").value(), CompressiblePayload());
+  std::filesystem::remove_all(tmp);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointContainerTest, FailedRenameLeavesNoTempFile) {
+  const std::string path = TempPath("failed_rename.ckpt");
+  std::filesystem::remove_all(path);
+  ASSERT_TRUE(std::filesystem::create_directory(path));
+  WriteFileRaw(path + "/occupant", "x");
+  io::CheckpointWriter writer;
+  writer.AddSection("s", CompressiblePayload());
+  const Status status = writer.WriteToFile(path);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << "stray temp file";
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  std::filesystem::remove_all(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Codec layer tests (src/io/codec, DESIGN.md §16): bit-exact round trips for
-// every registered codec over adversarially chosen payloads, compression on
-// payloads that should compress, and bounds-checked rejection of hostile
-// encoded inputs (a decoder must never read or write out of range, whatever
-// the bytes say).
+// both codecs over adversarially chosen payloads, compression on payloads
+// that should compress, and bounds-checked rejection of hostile encoded
+// inputs (a decoder must never read or write out of range, whatever the
+// bytes say).
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -32,7 +32,7 @@ std::string DoubleBytes(const std::vector<double>& values) {
 }
 
 // Payload corpus: empty, sub-8-byte tails, text, runs, random bytes, integer
-// lanes, and real-looking doubles — every branch of every codec.
+// lanes, and real-looking doubles — every branch of both codecs.
 std::vector<std::string> Corpus() {
   std::vector<std::string> corpus;
   corpus.push_back("");
@@ -61,23 +61,29 @@ std::vector<std::string> Corpus() {
   return corpus;
 }
 
-TEST(CodecTest, RegistryExposesTheFourBuiltins) {
-  EXPECT_EQ(io::RegisteredCodecNames(),
-            (std::vector<std::string>{"raw", "lz", "shuffle", "delta"}));
-  for (uint8_t id : {io::kCodecRaw, io::kCodecLz, io::kCodecShuffle,
-                     io::kCodecDelta}) {
+// The two codecs a checkpoint may name.
+const char* const kCodecNames[] = {"raw", "shuffle"};
+
+TEST(CodecTest, RegistryExposesRawAndShuffleOnly) {
+  for (uint8_t id : {io::kCodecRaw, io::kCodecShuffle}) {
     const io::Codec* codec = io::FindCodec(id);
     ASSERT_NE(codec, nullptr);
     EXPECT_EQ(codec->id(), id);
     EXPECT_EQ(io::FindCodecByName(codec->name()), codec);
   }
-  EXPECT_EQ(io::FindCodec(200), nullptr);
-  EXPECT_EQ(io::FindCodecByName("zstd"), nullptr);
-  ASSERT_NE(io::FindCodecByName(io::kDefaultCheckpointCodec), nullptr);
+  // Retired ids and names stay unknown.
+  for (uint8_t id : {1, 3, 200}) {
+    EXPECT_EQ(io::FindCodec(id), nullptr) << int{id};
+  }
+  for (const std::string name : {"lz", "delta", "zstd"}) {
+    EXPECT_EQ(io::FindCodecByName(name), nullptr) << name;
+  }
+  EXPECT_EQ(io::FindCodecByName(io::kDefaultCheckpointCodec),
+            io::FindCodec(io::kCodecShuffle));
 }
 
 TEST(CodecTest, EveryCodecRoundTripsEveryPayloadBitExactly) {
-  for (const std::string& name : io::RegisteredCodecNames()) {
+  for (const std::string name : kCodecNames) {
     const io::Codec* codec = io::FindCodecByName(name);
     ASSERT_NE(codec, nullptr);
     int index = 0;
@@ -89,29 +95,14 @@ TEST(CodecTest, EveryCodecRoundTripsEveryPayloadBitExactly) {
   }
 }
 
-TEST(CodecTest, LzCompressesRepetitiveInputAtLeastTwofold) {
+TEST(CodecTest, ShuffleCompressesRepetitiveInputAtLeastTwofold) {
   std::string repetitive;
   for (int i = 0; i < 500; ++i) repetitive += "checkpoint section payload ";
   std::string encoded;
-  io::FindCodecByName("lz")->Compress(repetitive, &encoded);
+  io::FindCodecByName("shuffle")->Compress(repetitive, &encoded);
   EXPECT_LE(encoded.size() * 2, repetitive.size())
-      << "lz ratio " << static_cast<double>(repetitive.size()) /
-                            static_cast<double>(encoded.size());
-}
-
-TEST(CodecTest, DeltaCompressesIntegerLanes) {
-  // Delta operates on raw u64 lanes, so its sweet spot is integer-valued
-  // lanes with small steps (row counters, offsets, dictionary codes) —
-  // not IEEE doubles, whose exponent bits make consecutive values far
-  // apart bitwise.
-  std::vector<uint64_t> counters;
-  for (uint64_t i = 0; i < 1000; ++i) counters.push_back(1000000 + i * 3);
-  std::string payload(counters.size() * sizeof(uint64_t), '\0');
-  std::memcpy(payload.data(), counters.data(), payload.size());
-  std::string encoded;
-  io::FindCodecByName("delta")->Compress(payload, &encoded);
-  // Small constant deltas varint-encode to ~1 byte per 8-byte lane.
-  EXPECT_LE(encoded.size() * 4, payload.size());
+      << "shuffle ratio " << static_cast<double>(repetitive.size()) /
+                                 static_cast<double>(encoded.size());
 }
 
 TEST(CodecTest, HostileEncodedInputsAreRejectedNotCrashed) {
@@ -119,7 +110,7 @@ TEST(CodecTest, HostileEncodedInputsAreRejectedNotCrashed) {
   // size: decoders are fully bounds-checked, so the only outcomes are a
   // clean error or a correctly-sized (garbage-free) success.
   Rng rng(7);
-  for (const std::string name : {"lz", "shuffle", "delta"}) {
+  for (const std::string name : kCodecNames) {
     const io::Codec* codec = io::FindCodecByName(name);
     for (int trial = 0; trial < 200; ++trial) {
       std::string hostile(static_cast<size_t>(rng.UniformInt(0, 64)), '\0');
@@ -139,7 +130,7 @@ TEST(CodecTest, HostileEncodedInputsAreRejectedNotCrashed) {
 TEST(CodecTest, TruncatedEncodingsFail) {
   std::string payload;
   for (int i = 0; i < 200; ++i) payload += "abcdefgh";
-  for (const std::string name : {"lz", "shuffle", "delta"}) {
+  for (const std::string name : kCodecNames) {
     const io::Codec* codec = io::FindCodecByName(name);
     std::string encoded;
     codec->Compress(payload, &encoded);
@@ -151,40 +142,6 @@ TEST(CodecTest, TruncatedEncodingsFail) {
             .ok())
         << name;
   }
-}
-
-TEST(CodecTest, VarintRoundTripsAndRejectsOverlongEncodings) {
-  std::string buffer;
-  const std::vector<uint64_t> values = {
-      0,  1,   127,  128,  16383, 16384, (uint64_t{1} << 32) - 1,
-      uint64_t{1} << 63, ~uint64_t{0}};
-  for (uint64_t v : values) io::PutVarint64(v, &buffer);
-  size_t pos = 0;
-  for (uint64_t v : values) {
-    uint64_t decoded = 0;
-    ASSERT_TRUE(io::GetVarint64(buffer, &pos, &decoded));
-    EXPECT_EQ(decoded, v);
-  }
-  EXPECT_EQ(pos, buffer.size());
-
-  uint64_t decoded = 0;
-  size_t bad_pos = 0;
-  EXPECT_FALSE(io::GetVarint64("", &bad_pos, &decoded));  // truncated
-  bad_pos = 0;
-  EXPECT_FALSE(io::GetVarint64(std::string(11, '\x80'), &bad_pos, &decoded))
-      << "over-long encoding must be rejected";
-}
-
-TEST(CodecTest, ZigZagIsAnInvolutionOnExtremes) {
-  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{1},
-                    std::numeric_limits<int64_t>::min(),
-                    std::numeric_limits<int64_t>::max()}) {
-    EXPECT_EQ(io::ZigZagDecode(io::ZigZagEncode(v)), v);
-  }
-  // Small magnitudes map to small codes (the property delta packing uses).
-  EXPECT_EQ(io::ZigZagEncode(0), 0u);
-  EXPECT_EQ(io::ZigZagEncode(-1), 1u);
-  EXPECT_EQ(io::ZigZagEncode(1), 2u);
 }
 
 }  // namespace

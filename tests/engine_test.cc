@@ -253,6 +253,10 @@ TEST(EngineTest, MicroBatchingDecouplesIngestFromDetection) {
   ASSERT_TRUE(trickle.ok());
   EXPECT_EQ(trickle.value().rows_flushed, 0);
   EXPECT_EQ(trickle.value().rows_buffered, 60);
+  // cond schema = one categorical (4B code) + one numeric (8B) per row.
+  auto buffered = engine.Report("t");
+  ASSERT_TRUE(buffered.ok());
+  EXPECT_EQ(buffered.value().buffered_bytes, 60 * 12);
 
   // Oversize batch: 60 buffered + 250 new = 3 micro-batches + 10 left.
   auto oversize = engine.Ingest("t", MakeConditional(25, 75, 250, 7));
@@ -506,8 +510,53 @@ TEST(EngineTest, NamedDetectorSurvivesSaveLoad) {
   std::remove(path.c_str());
 }
 
+storage::Table OneColumn(const std::string& column,
+                         std::vector<double> values) {
+  storage::Table t("t");
+  t.AddColumn(storage::Column::Numeric(column, std::move(values)));
+  return t;
+}
+
+// One model-less table of a hand-built engine manifest.
+struct ManifestTable {
+  std::string name;
+  storage::Table base;
+  storage::Table pending;
+};
+
+// Writes `path` as a checkpoint whose only section is an engine manifest of
+// `version` listing `tables`, in the layout Engine::Save writes (version 4
+// carried a codec name after the version word).
+void WriteManifestCheckpoint(const std::string& path, uint32_t version,
+                             const std::vector<ManifestTable>& tables) {
+  io::Serializer manifest;
+  manifest.WriteU32(version);
+  if (version == 4) manifest.WriteString("lz");
+  manifest.WriteU32(static_cast<uint32_t>(tables.size()));
+  for (const ManifestTable& table : tables) {
+    manifest.WriteString(table.name);
+    manifest.WriteString("");  // model kind, then no model options
+    manifest.WriteU32(0);
+    manifest.WriteI64(100);  // micro_batch_rows
+    manifest.WriteString("bootstrap");
+    manifest.WriteI64(0);  // update priority
+    // Four action counters, then detect and update seconds.
+    for (int i = 0; i < 4; ++i) manifest.WriteI64(0);
+    manifest.WriteDouble(0.0);
+    manifest.WriteDouble(0.0);
+    manifest.WriteTable(table.base);
+    manifest.WriteTable(table.pending);
+    manifest.WriteBool(false);  // no model
+  }
+  io::CheckpointWriter writer;
+  writer.AddSection("engine", manifest.Take());
+  ASSERT_TRUE(writer.WriteToFile(path).ok());
+}
+
 TEST(EngineTest, LoadRejectsMissingAndCorruptFiles) {
-  auto missing = Engine::Load(TempPath("engine_test_does_not_exist.ckpt"));
+  const EngineConfig config = FastEngineConfig(100);
+  auto missing =
+      Engine::Load(TempPath("engine_test_does_not_exist.ckpt"), config);
   EXPECT_FALSE(missing.ok());
 
   std::string path = TempPath("engine_test_corrupt.ckpt");
@@ -515,9 +564,44 @@ TEST(EngineTest, LoadRejectsMissingAndCorruptFiles) {
   ASSERT_NE(f, nullptr);
   std::fputs("not a checkpoint", f);
   std::fclose(f);
-  auto corrupt = Engine::Load(path);
+  auto corrupt = Engine::Load(path, config);
   EXPECT_FALSE(corrupt.ok());
   std::remove(path.c_str());
+
+  // Hand-built manifests, one model-less table whose base has column 'a'.
+  // The well-formed one loads with its buffered row; every other input
+  // breaks a rule CreateTable or Ingest enforces and must fail typed,
+  // naming the table, instead of aborting or loading.
+  const std::string manifest_path = TempPath("engine_test_manifest.ckpt");
+  const storage::Table base = OneColumn("a", {1.0, 2.0});
+  const storage::Table none = base.TakeRows({});
+  const std::vector<ManifestTable> good = {{"t", base, OneColumn("a", {3.0})}};
+  WriteManifestCheckpoint(manifest_path, 5, good);
+  auto control = Engine::Load(manifest_path, config);
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  EXPECT_EQ(control.value()->Report("t").value().buffered_rows, 1);
+
+  auto expect_rejected = [&](const std::vector<ManifestTable>& tables) {
+    const std::string name = tables.back().name;
+    WriteManifestCheckpoint(manifest_path, 5, tables);
+    auto loaded = Engine::Load(manifest_path, config);
+    ASSERT_FALSE(loaded.ok()) << "table '" << name << "'";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("table '" + name + "'"),
+              std::string::npos)
+        << loaded.status().ToString();
+  };
+  // Buffered rows with column 'b' instead of 'a'.
+  expect_rejected({{"t", base, OneColumn("b", {3.0})}});
+  // A NaN among the buffered rows, then in the base rows.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected({{"t", base, OneColumn("a", {nan})}});
+  expect_rejected({{"t", OneColumn("a", {nan}), none}});
+  // A repeated name, and the names CreateTable refuses.
+  expect_rejected({{"t", base, none}, {"t", base, none}});
+  expect_rejected({{"a:b", base, none}});
+  expect_rejected({{"", base, none}});
+  std::remove(manifest_path.c_str());
 }
 
 TEST(EngineTest, EstimateRequestShapesAndErrors) {
@@ -607,111 +691,21 @@ TEST(EngineTest, NonFiniteRowsAreRefusedAtTheBoundary) {
   for (double answer : est.value().answers) EXPECT_TRUE(std::isfinite(answer));
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint codec knob (EngineConfig::checkpoint, DESIGN.md §16)
-// ---------------------------------------------------------------------------
-
-int64_t FileSize(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return -1;
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  return size;
-}
-
-TEST(EngineTest, CheckpointCodecKnob) {
-  const std::string default_path = TempPath("codec_default.ckpt");
-  const std::string raw_path = TempPath("codec_raw.ckpt");
-  EngineConfig config = FastEngineConfig(120);
-  Engine engine(config);
-  ASSERT_TRUE(engine.CreateTable("t", MakeConditional(25, 75, 400, 31)).ok());
-  ASSERT_TRUE(engine.AttachModel("t", FastDarnSpec()).ok());
-  ASSERT_TRUE(engine.Ingest("t", MakeConditional(25, 75, 120, 32)).ok());
-
-  // Same engine, two codecs: the default compressed checkpoint must be
-  // measurably smaller than the raw one, and both must load to identical
-  // estimates.
-  ASSERT_TRUE(engine.Save(default_path).ok());
-  EngineConfig raw_config = config;
-  raw_config.checkpoint.codec = "raw";
-  Engine raw_engine(raw_config);
-  ASSERT_TRUE(
-      raw_engine.CreateTable("t", MakeConditional(25, 75, 400, 31)).ok());
-  ASSERT_TRUE(raw_engine.AttachModel("t", FastDarnSpec()).ok());
-  ASSERT_TRUE(raw_engine.Ingest("t", MakeConditional(25, 75, 120, 32)).ok());
-  ASSERT_TRUE(raw_engine.Save(raw_path).ok());
-  EXPECT_LT(FileSize(default_path), FileSize(raw_path));
-
-  auto from_default = Engine::Load(default_path, config);
-  auto from_raw = Engine::Load(raw_path, config);
-  ASSERT_TRUE(from_default.ok()) << from_default.status().ToString();
-  ASSERT_TRUE(from_raw.ok()) << from_raw.status().ToString();
-  std::vector<workload::Query> queries;
-  for (int i = 0; i < 6; ++i) {
-    queries.push_back(RangeCountQuery(10.0 + i * 5, 60.0 + i * 5));
+TEST(EngineTest, LoadRejectsRetiredManifestVersions) {
+  // A v3 manifest (no codec name) and a v4 one (a codec name after the
+  // version word) inside a current container: Load reads v5 only.
+  const std::string path = TempPath("engine_test_retired_manifest.ckpt");
+  for (uint32_t version : {3u, 4u}) {
+    WriteManifestCheckpoint(path, version, {});
+    auto loaded = Engine::Load(path, FastEngineConfig(100));
+    ASSERT_FALSE(loaded.ok()) << "manifest v" << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    const std::string want =
+        "unsupported engine manifest version " + std::to_string(version);
+    EXPECT_NE(loaded.status().message().find(want), std::string::npos)
+        << loaded.status().ToString();
   }
-  auto a = from_default.value()->Estimate(Request(kCard, "t", queries));
-  auto b = from_raw.value()->Estimate(Request(kCard, "t", queries));
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.value().answers, b.value().answers);
-
-  // The manifest records the codec: a Load → Save cycle with no codec in
-  // the loading config keeps writing raw (same file size, not compressed).
-  const std::string resaved_path = TempPath("codec_resaved.ckpt");
-  ASSERT_TRUE(from_raw.value()->Save(resaved_path).ok());
-  EXPECT_EQ(FileSize(resaved_path), FileSize(raw_path));
-
-  EngineConfig bad = config;
-  bad.checkpoint.codec = "zstd";
-  Engine bad_engine(bad);
-  ASSERT_TRUE(
-      bad_engine.CreateTable("t", MakeConditional(25, 75, 60, 33)).ok());
-  Status st = bad_engine.Save(TempPath("codec_bad.ckpt"));
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("unknown checkpoint codec"), std::string::npos);
-
-  std::remove(default_path.c_str());
-  std::remove(raw_path.c_str());
-  std::remove(resaved_path.c_str());
-}
-
-TEST(EngineTest, LoadsV1ContainerWithV3Manifest) {
-  // Compatibility pin: a pre-codec checkpoint — format-version-1 container
-  // holding a version-3 engine manifest (no codec string) — must still
-  // load. Hand-crafted from the documented layouts so this cannot rot even
-  // after the writers move on.
-  io::Serializer manifest;
-  manifest.WriteU32(3);  // engine manifest version (pre-codec)
-  manifest.WriteU32(0);  // zero tables
-  const std::string payload = manifest.Take();
-
-  io::Serializer v1;
-  v1.WriteU64(io::kCheckpointMagic);
-  v1.WriteU32(1);  // container format version
-  v1.WriteU32(1);  // section count
-  v1.WriteString("engine");
-  v1.WriteU64(payload.size());
-  v1.WriteU32(io::Crc32(payload));
-  v1.WriteRaw(payload);
-
-  const std::string path = TempPath("legacy_v1.ckpt");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const std::string image = v1.Take();
-  ASSERT_EQ(std::fwrite(image.data(), 1, image.size(), f), image.size());
-  std::fclose(f);
-
-  auto loaded = Engine::Load(path, FastEngineConfig(100));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value()->TableNames().empty());
-  // And the loaded engine saves again with the current writer (v2
-  // container, compressed default) without complaint.
-  const std::string resaved = TempPath("legacy_resaved.ckpt");
-  ASSERT_TRUE(loaded.value()->Save(resaved).ok());
   std::remove(path.c_str());
-  std::remove(resaved.c_str());
 }
 
 }  // namespace
